@@ -19,37 +19,23 @@
 //! where the origin lives, a symmetric flow needs no static routes at
 //! all.
 //!
-//! ## Two backends, one contract
+//! ## The event loop
 //!
-//! The bridge runs one of two interchangeable socket backends,
-//! selected at runtime ([`BackendChoice`]):
+//! A single level-triggered epoll instance watches the UDP socket, the
+//! TCP listener, every ingress connection, and a wakeup eventfd. UDP
+//! ingress drains in ≤[`RECV_BATCH`]-frame `recvmmsg` batches into a
+//! preallocated arena (no per-datagram allocation in the I/O layer),
+//! UDP egress leaves in `sendmmsg` batches, and a full socket buffer
+//! arms `EPOLLOUT` instead of sleeping. Idle waits block in
+//! `epoll_wait` until traffic or a [`crate::sys::Waker`] kick. The
+//! bridge is Linux-only.
 //!
-//! * **epoll** (Linux, the default where it works): a single
-//!   level-triggered epoll instance watches the UDP socket, the TCP
-//!   listener, every ingress connection, and a wakeup eventfd. UDP
-//!   ingress drains in ≤[`RECV_BATCH`]-frame `recvmmsg` batches into a
-//!   preallocated arena (no per-datagram allocation in the I/O layer),
-//!   UDP egress leaves in `sendmmsg` batches, and a full socket buffer
-//!   arms `EPOLLOUT` instead of sleeping. Idle waits block in
-//!   `epoll_wait` until traffic or a [`crate::sys::Waker`] kick.
-//! * **poll** (portable fallback, also the test oracle): the original
-//!   readiness-poll loop over nonblocking `std::net` calls — one
-//!   syscall per datagram, timed idle sleeps. No `unsafe`, no
-//!   platform assumptions.
-//!
-//! Both backends feed the same parse → learn → queue path and the same
-//! egress queues, so the data plane cannot tell them apart — the
-//! dual-backend byte-identity test in `tests/service.rs` holds the two
-//! to bit-equal emissions.
-//!
-//! Egress is **queued on both backends**: `emit` serializes into a
-//! recycled buffer and enqueues; the actual sends happen in
-//! [`Bridge::flush`] (called by the data plane at the end of every
-//! pump via [`dplane::PacketIo::flush`]). A slow TCP peer accumulates
-//! into its per-connection write buffer (bounded by
-//! [`TCP_EGRESS_CAP`]; beyond that the connection is poisoned) rather
-//! than blocking the data thread — the 1ms sleep-retry loop this
-//! replaces is gone on both backends.
+//! Egress is **queued**: `emit` serializes into a recycled buffer and
+//! enqueues; the actual sends happen in `flush` (called by the data
+//! plane at the end of every pump via [`dplane::PacketIo::flush`]).
+//! A slow TCP peer accumulates into its per-connection write buffer
+//! (bounded by [`TCP_EGRESS_CAP`]; beyond that the connection is
+//! poisoned) rather than blocking the data thread.
 //!
 //! Timestamps handed to the data plane are microseconds from a
 //! process-local monotonic epoch, so flow idle expiry sees real time.
@@ -59,7 +45,6 @@ use packet::Packet;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-#[cfg(target_os = "linux")]
 use std::os::unix::io::AsRawFd;
 use std::time::Instant;
 
@@ -73,7 +58,7 @@ pub const MAX_FRAME: usize = 65_535;
 /// connect-flood from growing the table without bound.
 pub const MAX_CONNS: usize = 1024;
 
-/// Datagrams per `recvmmsg`/`sendmmsg` batch on the epoll backend.
+/// Datagrams per `recvmmsg`/`sendmmsg` batch.
 pub const RECV_BATCH: usize = 64;
 
 /// Cap on queued-but-unsent UDP egress frames; beyond this the newest
@@ -89,62 +74,36 @@ pub const TCP_EGRESS_CAP: usize = 64 * 1024 * 1024;
 /// Upper edges of the `frames_per_batch` histogram buckets.
 pub const FPB_BUCKET_EDGES: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Which socket backend to run.
+/// The socket backend. epoll is the only one; this one-variant enum,
+/// [`BridgeConfig::backend`], and `cay serve --backend epoll` remain
+/// only because the `ledger/` benchmark names them, and can go with
+/// the benchmark's next change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// epoll where supported (Linux, IPv4 sockets), else poll.
+    /// epoll + `recvmmsg`/`sendmmsg` + eventfd.
     #[default]
-    Auto,
-    /// Require the epoll backend; binding fails where unsupported.
     Epoll,
-    /// Force the portable readiness-poll backend.
-    Poll,
 }
 
 impl BackendChoice {
-    /// Parse an operator-facing name (`auto` / `epoll` / `poll`).
+    /// Parse an operator-facing name; `epoll` is the only one.
     pub fn parse(s: &str) -> Option<BackendChoice> {
-        match s {
-            "auto" => Some(BackendChoice::Auto),
-            "epoll" => Some(BackendChoice::Epoll),
-            "poll" => Some(BackendChoice::Poll),
-            _ => None,
-        }
-    }
-}
-
-/// The backend a bridge actually runs (after `Auto` resolution).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Event-driven: epoll + recvmmsg/sendmmsg + eventfd.
-    Epoll,
-    /// Portable readiness polling over plain `std::net`.
-    #[default]
-    Poll,
-}
-
-impl BackendKind {
-    /// Stable operator-facing name (appears in `/status`, Prometheus
-    /// labels, and `BENCH_svc.json`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Epoll => "epoll",
-            BackendKind::Poll => "poll",
-        }
+        (s == "epoll").then_some(BackendChoice::Epoll)
     }
 }
 
 /// Where the bridge listens and where unroutable emissions go.
 #[derive(Debug, Clone)]
 pub struct BridgeConfig {
-    /// UDP bind address for frame-in-datagram ingress/egress.
+    /// UDP bind address for frame-in-datagram ingress/egress. Must be
+    /// IPv4 (`sendmmsg` takes `sockaddr_in`).
     pub udp: SocketAddr,
     /// Optional TCP bind address for length-prefixed frame streams.
     pub tcp: Option<SocketAddr>,
     /// Default egress for emissions whose inner destination has no
     /// learned peer (typically the origin server's bridge).
     pub upstream: SocketAddr,
-    /// Socket backend selection.
+    /// Socket backend (see [`BackendChoice`]).
     pub backend: BackendChoice,
 }
 
@@ -163,20 +122,17 @@ pub struct BridgeStats {
     pub unroutable: u64,
     /// TCP ingress connections accepted.
     pub tcp_accepted: u64,
-    /// Syscalls made by this bridge (both backends count, via
+    /// Syscalls made by this bridge (via
     /// [`crate::sys::SyscallCounter`]).
     pub syscalls: u64,
-    /// Ingress batches that delivered at least one frame (a fallback
-    /// `recv_from` counts as a batch of 1).
+    /// Ingress batches that delivered at least one frame.
     pub recv_batches: u64,
     /// Histogram of frames per ingress batch; bucket upper edges are
     /// [`FPB_BUCKET_EDGES`].
     pub frames_per_batch: [u64; 7],
     /// Egress attempts that hit a full socket buffer and were deferred
-    /// (epoll: `EPOLLOUT` armed; poll: retried next flush).
+    /// to `EPOLLOUT`.
     pub egress_backpressure_events: u64,
-    /// The backend this bridge runs.
-    pub backend: BackendKind,
 }
 
 impl BridgeStats {
@@ -212,7 +168,7 @@ struct Conn {
     /// never memmoves.
     wr: Vec<u8>,
     wr_pos: usize,
-    /// epoll backend: EPOLLOUT currently armed for this connection.
+    /// EPOLLOUT currently armed for this connection.
     out_armed: bool,
 }
 
@@ -222,26 +178,10 @@ impl Conn {
     }
 }
 
-/// The epoll backend's owned state: the epoll instance, the recvmmsg
-/// arena, sendmmsg scratch, and the event buffer.
-#[cfg(target_os = "linux")]
-struct EpollState {
-    ep: sys::Epoll,
-    arena: sys::RecvArena,
-    scratch: sys::SendScratch,
-    events: Vec<sys::Event>,
-    /// EPOLLOUT currently armed on the UDP socket.
-    udp_out_armed: bool,
-}
-
-/// Event tokens for the epoll backend.
-#[cfg(target_os = "linux")]
+/// Event tokens.
 const TOKEN_UDP: u64 = 0;
-#[cfg(target_os = "linux")]
 const TOKEN_LISTENER: u64 = 1;
-#[cfg(target_os = "linux")]
 const TOKEN_WAKER: u64 = 2;
-#[cfg(target_os = "linux")]
 const TOKEN_CONN_BASE: u64 = 3;
 
 /// A live socket [`dplane::PacketIo`]: `poll` drains the sockets into
@@ -256,6 +196,7 @@ pub struct Bridge {
     upstream: SocketAddr,
     epoch: Instant,
     queue: VecDeque<(u64, Packet)>,
+    /// Read buffer for TCP ingress.
     buf: Vec<u8>,
     /// Queued UDP egress: destination + serialized frame.
     udp_out: VecDeque<(SocketAddr, Vec<u8>)>,
@@ -263,20 +204,31 @@ pub struct Bridge {
     spare: Vec<Vec<u8>>,
     ctr: sys::SyscallCounter,
     waker: sys::Waker,
-    #[cfg(target_os = "linux")]
-    ep: Option<EpollState>,
+    ep: sys::Epoll,
+    /// `recvmmsg` buffers, allocated once at bind.
+    arena: sys::RecvArena,
+    /// `sendmmsg` pointer vectors, reused every batch.
+    scratch: sys::SendScratch,
+    events: Vec<sys::Event>,
+    /// EPOLLOUT currently armed on the UDP socket.
+    udp_out_armed: bool,
     /// Live counters, exported via `/status`.
     pub stats: BridgeStats,
 }
 
 impl Bridge {
-    /// Bind the front-end sockets (nonblocking). Port 0 works; the
-    /// bound addresses are readable via [`Bridge::udp_addr`] /
-    /// [`Bridge::tcp_addr`]. With [`BackendChoice::Auto`] the epoll
-    /// backend is used where it can be (Linux, IPv4 bind); forcing
-    /// [`BackendChoice::Epoll`] elsewhere is a bind error.
+    /// Bind the front-end sockets (nonblocking) and register them with
+    /// a fresh epoll instance. Port 0 works; the bound addresses are
+    /// readable via [`Bridge::udp_addr`] / [`Bridge::tcp_addr`]. A
+    /// non-IPv4 UDP bind is an error.
     pub fn bind(cfg: &BridgeConfig) -> io::Result<Bridge> {
         let udp = UdpSocket::bind(cfg.udp)?;
+        if !udp.local_addr()?.is_ipv4() {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the bridge requires an IPv4 UDP bind",
+            ));
+        }
         udp.set_nonblocking(true)?;
         let tcp = match cfg.tcp {
             Some(addr) => {
@@ -286,7 +238,13 @@ impl Bridge {
             }
             None => None,
         };
-        let mut bridge = Bridge {
+        let ctr = sys::SyscallCounter::new();
+        let ep = sys::Epoll::new(ctr.clone())?;
+        ep.add(udp.as_raw_fd(), TOKEN_UDP, sys::EV_READ)?;
+        if let Some(listener) = &tcp {
+            ep.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EV_READ)?;
+        }
+        Ok(Bridge {
             udp,
             tcp,
             conns: Vec::new(),
@@ -297,90 +255,28 @@ impl Bridge {
             buf: vec![0u8; MAX_FRAME],
             udp_out: VecDeque::new(),
             spare: Vec::new(),
-            ctr: sys::SyscallCounter::new(),
+            ctr,
             waker: sys::Waker::default(),
-            #[cfg(target_os = "linux")]
-            ep: None,
-            stats: BridgeStats::default(),
-        };
-        bridge.select_backend(cfg.backend)?;
-        Ok(bridge)
-    }
-
-    #[cfg(target_os = "linux")]
-    fn select_backend(&mut self, choice: BackendChoice) -> io::Result<()> {
-        let want_epoll = match choice {
-            BackendChoice::Poll => false,
-            BackendChoice::Epoll => true,
-            // Auto: sendmmsg needs sockaddr_in, so the bind must be
-            // IPv4; anything else falls back to the portable loop.
-            BackendChoice::Auto => self.udp.local_addr().map(|a| a.is_ipv4()).unwrap_or(false),
-        };
-        if !want_epoll {
-            self.stats.backend = BackendKind::Poll;
-            return Ok(());
-        }
-        if !self.udp.local_addr()?.is_ipv4() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll backend requires an IPv4 UDP bind",
-            ));
-        }
-        let ep = sys::Epoll::new(self.ctr.clone())?;
-        ep.add(self.udp.as_raw_fd(), TOKEN_UDP, sys::EV_READ)?;
-        if let Some(listener) = &self.tcp {
-            ep.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EV_READ)?;
-        }
-        self.ep = Some(EpollState {
             ep,
             arena: sys::RecvArena::new(RECV_BATCH, MAX_FRAME),
             scratch: sys::SendScratch::new(),
             events: Vec::with_capacity(RECV_BATCH),
             udp_out_armed: false,
-        });
-        self.stats.backend = BackendKind::Epoll;
-        Ok(())
+            stats: BridgeStats::default(),
+        })
     }
 
-    #[cfg(not(target_os = "linux"))]
-    fn select_backend(&mut self, choice: BackendChoice) -> io::Result<()> {
-        match choice {
-            BackendChoice::Epoll => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll backend is Linux-only",
-            )),
-            _ => {
-                self.stats.backend = BackendKind::Poll;
-                Ok(())
-            }
-        }
-    }
-
-    /// The backend this bridge resolved to.
-    pub fn backend(&self) -> BackendKind {
-        self.stats.backend
-    }
-
-    /// Resize the epoll backend's `recvmmsg` arena (frames per batch).
-    /// `cay bench` uses this to sweep batch sizes; the poll backend has
-    /// no batching, so this is a no-op there.
+    /// Resize the `recvmmsg` arena (frames per batch). `cay bench` uses
+    /// this to sweep batch sizes.
     pub fn set_recv_batch(&mut self, batch: usize) {
-        #[cfg(target_os = "linux")]
-        if let Some(st) = &mut self.ep {
-            st.arena = sys::RecvArena::new(batch.clamp(1, RECV_BATCH), MAX_FRAME);
-        }
-        #[cfg(not(target_os = "linux"))]
-        let _ = batch;
+        self.arena = sys::RecvArena::new(batch.clamp(1, RECV_BATCH), MAX_FRAME);
     }
 
     /// Attach a wakeup handle: [`crate::sys::Waker::wake`] from any
-    /// thread interrupts a blocked [`Bridge::wait`] (epoll backend;
-    /// the poll backend never blocks longer than its idle sleep).
+    /// thread interrupts a blocked [`Bridge::wait`]. Fails when the
+    /// waker has no eventfd.
     pub fn attach_waker(&mut self, waker: sys::Waker) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        if let (Some(st), Some(fd)) = (&self.ep, waker.fd()) {
-            st.ep.add(fd, TOKEN_WAKER, sys::EV_READ)?;
-        }
+        self.ep.add(waker.fd()?, TOKEN_WAKER, sys::EV_READ)?;
         self.waker = waker;
         Ok(())
     }
@@ -415,98 +311,65 @@ impl Bridge {
     /// queued egress. Returns how many frames were queued (0 means the
     /// sockets were idle).
     pub fn poll(&mut self) -> usize {
-        let queued = self.dispatch(0);
+        self.wait(0)
+    }
+
+    /// Idle wait: block until traffic, a waker kick, or `timeout_ms`.
+    /// Anything that arrived is already dispatched into the queues when
+    /// this returns. Returns frames queued.
+    pub fn wait(&mut self, timeout_ms: i32) -> usize {
+        let queued = self.dispatch(timeout_ms);
         self.flush_egress();
         self.stats.syscalls = self.ctr.get();
         queued
     }
 
-    /// Idle wait: block until traffic, a waker kick, or `timeout_ms`
-    /// (epoll backend — anything that arrived is already dispatched
-    /// into the queues when this returns); the poll backend sleeps its
-    /// historical 300µs tick instead. Returns frames queued.
-    pub fn wait(&mut self, timeout_ms: i32) -> usize {
-        #[cfg(target_os = "linux")]
-        if self.ep.is_some() {
-            let queued = self.dispatch(timeout_ms);
-            self.flush_egress();
-            self.stats.syscalls = self.ctr.get();
-            return queued;
-        }
-        let _ = timeout_ms;
-        // Poll fallback: park on the waker's portable gate instead of
-        // a blind sleep, so shutdown/hot-reload kicks interrupt the
-        // idle wait instead of racing it. The 300µs cap keeps socket
-        // scanning responsive with no fd readiness to lean on.
-        self.waker
-            .wait_timeout(std::time::Duration::from_micros(300));
-        0
-    }
-
-    /// One dispatch pass: epoll backend waits up to `timeout_ms` and
-    /// services every returned event; poll backend scans all sockets.
+    /// One dispatch pass: wait up to `timeout_ms` and service every
+    /// returned event.
     fn dispatch(&mut self, timeout_ms: i32) -> usize {
-        #[cfg(target_os = "linux")]
-        if self.ep.is_some() {
-            return self.dispatch_epoll(timeout_ms);
-        }
-        let _ = timeout_ms;
         let mut queued = 0;
-        queued += self.poll_udp();
-        self.accept_tcp();
-        queued += self.poll_conns();
-        queued
-    }
-
-    #[cfg(target_os = "linux")]
-    fn dispatch_epoll(&mut self, timeout_ms: i32) -> usize {
-        let Some(mut st) = self.ep.take() else {
+        self.events.clear();
+        if self.ep.wait(&mut self.events, timeout_ms).is_err() {
             return 0;
-        };
-        let mut queued = 0;
-        st.events.clear();
-        if st.ep.wait(&mut st.events, timeout_ms).is_ok() {
-            for i in 0..st.events.len() {
-                let ev = st.events[i];
-                match ev.token {
-                    TOKEN_UDP => {
+        }
+        for i in 0..self.events.len() {
+            let ev = self.events[i];
+            match ev.token {
+                TOKEN_UDP => {
+                    if ev.readable() {
+                        queued += self.drain_udp();
+                    }
+                    if ev.writable() {
+                        self.flush_udp();
+                    }
+                }
+                TOKEN_LISTENER => self.accept_tcp(),
+                TOKEN_WAKER => self.waker.drain(),
+                token => {
+                    let idx = usize::try_from(token - TOKEN_CONN_BASE).unwrap_or(usize::MAX);
+                    if idx < self.conns.len() {
                         if ev.readable() {
-                            queued += self.drain_udp_batched(&mut st);
+                            queued += self.read_conn(idx);
                         }
                         if ev.writable() {
-                            self.flush_udp_epoll(&mut st);
-                        }
-                    }
-                    TOKEN_LISTENER => self.accept_tcp_epoll(&st),
-                    TOKEN_WAKER => self.waker.drain(),
-                    token => {
-                        let idx = usize::try_from(token - TOKEN_CONN_BASE).unwrap_or(usize::MAX);
-                        if idx < self.conns.len() {
-                            if ev.readable() {
-                                queued += self.read_conn(idx);
-                            }
-                            if ev.writable() {
-                                let blocked = self.flush_conn(idx);
-                                self.arm_conn(&st, idx, blocked);
-                            }
+                            let blocked = self.flush_conn(idx);
+                            self.arm_conn(idx, blocked);
                         }
                     }
                 }
             }
         }
-        self.ep = Some(st);
         queued
     }
 
     /// Drain the UDP socket in recvmmsg batches until it reports
     /// empty (a short batch means the kernel queue is drained).
-    #[cfg(target_os = "linux")]
-    fn drain_udp_batched(&mut self, st: &mut EpollState) -> usize {
+    fn drain_udp(&mut self) -> usize {
         let mut queued = 0;
-        while let Ok(n) = sys::recv_batch(self.udp.as_raw_fd(), &mut st.arena, &self.ctr) {
+        while let Ok(n) = sys::recv_batch(self.udp.as_raw_fd(), &mut self.arena, &self.ctr) {
             self.stats.note_batch(n);
             let now = self.now_us();
-            for (bytes, from) in st.arena.frames() {
+            for (bytes, from) in self.arena.frames() {
                 match Packet::parse(bytes) {
                     Ok(pkt) => {
                         self.peers.insert(pkt.ip.src, Peer::Udp(from));
@@ -517,53 +380,14 @@ impl Bridge {
                     Err(_) => self.stats.parse_errors += 1,
                 }
             }
-            if n < st.arena.batch() {
+            if n < self.arena.batch() {
                 break;
             }
         }
         queued
     }
 
-    fn poll_udp(&mut self) -> usize {
-        let mut queued = 0;
-        loop {
-            self.ctr.bump();
-            match self.udp.recv_from(&mut self.buf) {
-                Ok((n, from)) => {
-                    self.stats.note_batch(1);
-                    let now = self.now_us();
-                    match Packet::parse(&self.buf[..n]) {
-                        Ok(pkt) => {
-                            self.peers.insert(pkt.ip.src, Peer::Udp(from));
-                            self.queue.push_back((now, pkt));
-                            self.stats.frames_in += 1;
-                            queued += 1;
-                        }
-                        Err(_) => self.stats.parse_errors += 1,
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        queued
-    }
-
-    /// Register a freshly accepted connection (epoll backend).
-    #[cfg(target_os = "linux")]
-    fn accept_tcp_epoll(&mut self, st: &EpollState) {
-        let before = self.conns.len();
-        self.accept_tcp();
-        for idx in before..self.conns.len() {
-            if let Some(stream) = &self.conns[idx].stream {
-                let token = TOKEN_CONN_BASE + idx as u64;
-                if st.ep.add(stream.as_raw_fd(), token, sys::EV_READ).is_err() {
-                    self.conns[idx].stream = None;
-                }
-            }
-        }
-    }
-
+    /// Accept every pending connection and register it with epoll.
     fn accept_tcp(&mut self) {
         let Some(listener) = &self.tcp else { return };
         loop {
@@ -571,7 +395,14 @@ impl Bridge {
             match listener.accept() {
                 Ok((stream, _)) => {
                     self.stats.tcp_accepted += 1;
-                    if self.conns.len() >= MAX_CONNS || stream.set_nonblocking(true).is_err() {
+                    let token = TOKEN_CONN_BASE + self.conns.len() as u64;
+                    if self.conns.len() >= MAX_CONNS
+                        || stream.set_nonblocking(true).is_err()
+                        || self
+                            .ep
+                            .add(stream.as_raw_fd(), token, sys::EV_READ)
+                            .is_err()
+                    {
                         // Drop it: over cap (or unusable). The peer sees
                         // a closed connection and can retry later.
                         continue;
@@ -621,16 +452,6 @@ impl Bridge {
         let queued = self.extract_frames(idx);
         if closed {
             self.conns[idx].stream = None;
-        }
-        queued
-    }
-
-    fn poll_conns(&mut self) -> usize {
-        let mut queued = 0;
-        for idx in 0..self.conns.len() {
-            if self.conns[idx].stream.is_some() {
-                queued += self.read_conn(idx);
-            }
         }
         queued
     }
@@ -726,36 +547,23 @@ impl Bridge {
     }
 
     /// Push every egress queue toward the kernel; what the socket
-    /// buffers refuse stays queued (epoll arms EPOLLOUT, poll retries
-    /// on the next flush).
+    /// buffers refuse stays queued behind an armed EPOLLOUT.
     fn flush_egress(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Some(mut st) = self.ep.take() {
-            self.flush_udp_epoll(&mut st);
-            for idx in 0..self.conns.len() {
-                if self.conns[idx].pending_out() > 0 {
-                    let blocked = self.flush_conn(idx);
-                    self.arm_conn(&st, idx, blocked);
-                }
-            }
-            self.ep = Some(st);
-            return;
-        }
-        self.flush_udp_poll();
+        self.flush_udp();
         for idx in 0..self.conns.len() {
             if self.conns[idx].pending_out() > 0 {
-                self.flush_conn(idx);
+                let blocked = self.flush_conn(idx);
+                self.arm_conn(idx, blocked);
             }
         }
     }
 
     /// sendmmsg the UDP egress queue; a refused batch arms EPOLLOUT so
     /// the event loop resumes exactly when the socket drains.
-    #[cfg(target_os = "linux")]
-    fn flush_udp_epoll(&mut self, st: &mut EpollState) {
+    fn flush_udp(&mut self) {
         while !self.udp_out.is_empty() {
-            // Drop non-IPv4 destinations (the epoll backend binds
-            // IPv4-only, so these cannot be delivered).
+            // Drop non-IPv4 destinations (the socket is bound IPv4-only,
+            // so these cannot be delivered).
             while let Some((SocketAddr::V6(_), _)) = self.udp_out.front() {
                 if let Some((_, bytes)) = self.udp_out.pop_front() {
                     self.stats.unroutable += 1;
@@ -776,11 +584,11 @@ impl Bridge {
                 .collect();
             let want = batch.len();
             let sent =
-                match sys::send_batch(self.udp.as_raw_fd(), &mut st.scratch, &batch, &self.ctr) {
+                match sys::send_batch(self.udp.as_raw_fd(), &mut self.scratch, &batch, &self.ctr) {
                     Ok(n) => n,
                     Err(_) => {
                         // Hard send error: drop the head frame and
-                        // keep going — matches the poll backend.
+                        // keep going.
                         if let Some((_, bytes)) = self.udp_out.pop_front() {
                             self.stats.unroutable += 1;
                             self.recycle(bytes);
@@ -797,46 +605,22 @@ impl Bridge {
             if sent < want {
                 // Socket buffer full: defer the rest to EPOLLOUT.
                 self.stats.egress_backpressure_events += 1;
-                if !st.udp_out_armed {
-                    let _ = st.ep.modify(
+                if !self.udp_out_armed {
+                    let _ = self.ep.modify(
                         self.udp.as_raw_fd(),
                         TOKEN_UDP,
                         sys::EV_READ | sys::EV_WRITE,
                     );
-                    st.udp_out_armed = true;
+                    self.udp_out_armed = true;
                 }
                 return;
             }
         }
-        if st.udp_out_armed {
-            let _ = st.ep.modify(self.udp.as_raw_fd(), TOKEN_UDP, sys::EV_READ);
-            st.udp_out_armed = false;
-        }
-    }
-
-    /// Fallback UDP egress: one `send_to` per frame, deferring on
-    /// `WouldBlock` (the next flush retries — no sleeping).
-    fn flush_udp_poll(&mut self) {
-        while let Some((addr, bytes)) = self.udp_out.front() {
-            self.ctr.bump();
-            match self.udp.send_to(bytes, *addr) {
-                Ok(_) => {
-                    self.stats.frames_out += 1;
-                    if let Some((_, bytes)) = self.udp_out.pop_front() {
-                        self.recycle(bytes);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.stats.egress_backpressure_events += 1;
-                    return;
-                }
-                Err(_) => {
-                    self.stats.unroutable += 1;
-                    if let Some((_, bytes)) = self.udp_out.pop_front() {
-                        self.recycle(bytes);
-                    }
-                }
-            }
+        if self.udp_out_armed {
+            let _ = self
+                .ep
+                .modify(self.udp.as_raw_fd(), TOKEN_UDP, sys::EV_READ);
+            self.udp_out_armed = false;
         }
     }
 
@@ -884,13 +668,12 @@ impl Bridge {
     }
 
     /// Arm (or disarm) EPOLLOUT for one connection after a flush.
-    #[cfg(target_os = "linux")]
-    fn arm_conn(&mut self, st: &EpollState, idx: usize, blocked: bool) {
+    fn arm_conn(&mut self, idx: usize, blocked: bool) {
         let conn = &mut self.conns[idx];
         let token = TOKEN_CONN_BASE + idx as u64;
         let Some(stream) = &conn.stream else { return };
         if blocked && !conn.out_armed {
-            if st
+            if self
                 .ep
                 .modify(stream.as_raw_fd(), token, sys::EV_READ | sys::EV_WRITE)
                 .is_ok()
@@ -899,7 +682,7 @@ impl Bridge {
             }
         } else if !blocked
             && conn.out_armed
-            && st
+            && self
                 .ep
                 .modify(stream.as_raw_fd(), token, sys::EV_READ)
                 .is_ok()
@@ -947,169 +730,130 @@ mod tests {
         "127.0.0.1:0".parse().unwrap()
     }
 
-    fn bind(backend: BackendChoice, tcp: bool, upstream: SocketAddr) -> Bridge {
+    fn bind(tcp: bool, upstream: SocketAddr) -> Bridge {
         Bridge::bind(&BridgeConfig {
             udp: loopback(),
             tcp: tcp.then(loopback),
             upstream,
-            backend,
+            backend: BackendChoice::Epoll,
         })
         .unwrap()
     }
 
-    fn both_backends() -> Vec<BackendChoice> {
-        if sys::EPOLL_SUPPORTED {
-            vec![BackendChoice::Epoll, BackendChoice::Poll]
-        } else {
-            vec![BackendChoice::Poll]
-        }
-    }
-
     #[test]
     fn udp_round_trip_learns_peers() {
-        for backend in both_backends() {
-            let mut bridge = bind(backend, false, loopback());
-            let baddr = bridge.udp_addr().unwrap();
-            let client = UdpSocket::bind(loopback()).unwrap();
-            let pkt = frame([10, 7, 0, 2], [93, 184, 216, 34]);
-            client.send_to(&pkt.serialize_raw(), baddr).unwrap();
-            // Nonblocking poll loop: wait for the datagram to land.
-            let mut got = 0;
-            for _ in 0..200 {
-                got = bridge.poll();
-                if got > 0 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
+        let mut bridge = bind(false, loopback());
+        let baddr = bridge.udp_addr().unwrap();
+        let client = UdpSocket::bind(loopback()).unwrap();
+        let pkt = frame([10, 7, 0, 2], [93, 184, 216, 34]);
+        client.send_to(&pkt.serialize_raw(), baddr).unwrap();
+        // Nonblocking poll loop: wait for the datagram to land.
+        let mut got = 0;
+        for _ in 0..200 {
+            got = bridge.poll();
+            if got > 0 {
+                break;
             }
-            assert_eq!(got, 1, "{:?}", backend);
-            let (_, rx) = bridge.recv().unwrap();
-            assert_eq!(rx.serialize_raw(), pkt.serialize_raw());
-            // Emitting toward the learned inner address routes back to
-            // the client's socket once flushed.
-            client
-                .set_read_timeout(Some(std::time::Duration::from_secs(2)))
-                .unwrap();
-            let reply = frame([93, 184, 216, 34], [10, 7, 0, 2]);
-            bridge.emit(0, reply.clone());
-            bridge.flush();
-            let mut buf = [0u8; MAX_FRAME];
-            let (n, _) = client.recv_from(&mut buf).unwrap();
-            assert_eq!(&buf[..n], reply.serialize_raw().as_slice());
-            assert_eq!(bridge.stats.frames_in, 1);
-            assert_eq!(bridge.stats.frames_out, 1);
-            assert!(bridge.stats.recv_batches >= 1);
-            assert!(bridge.stats.syscalls > 0);
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        assert_eq!(got, 1);
+        let (_, rx) = bridge.recv().unwrap();
+        assert_eq!(rx.serialize_raw(), pkt.serialize_raw());
+        // Emitting toward the learned inner address routes back to
+        // the client's socket once flushed.
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
+        let reply = frame([93, 184, 216, 34], [10, 7, 0, 2]);
+        bridge.emit(0, reply.clone());
+        bridge.flush();
+        let mut buf = [0u8; MAX_FRAME];
+        let (n, _) = client.recv_from(&mut buf).unwrap();
+        assert_eq!(&buf[..n], reply.serialize_raw().as_slice());
+        assert_eq!(bridge.stats.frames_in, 1);
+        assert_eq!(bridge.stats.frames_out, 1);
+        assert!(bridge.stats.recv_batches >= 1);
+        assert!(bridge.stats.syscalls > 0);
     }
 
     #[test]
     fn unknown_destination_goes_upstream() {
-        for backend in both_backends() {
-            let upstream = UdpSocket::bind(loopback()).unwrap();
-            upstream
-                .set_read_timeout(Some(std::time::Duration::from_secs(2)))
-                .unwrap();
-            let mut bridge = bind(backend, false, upstream.local_addr().unwrap());
-            let pkt = frame([10, 7, 0, 2], [93, 184, 216, 34]);
-            bridge.emit(0, pkt.clone());
-            bridge.flush();
-            let mut buf = [0u8; MAX_FRAME];
-            let (n, _) = upstream.recv_from(&mut buf).unwrap();
-            assert_eq!(&buf[..n], pkt.serialize_raw().as_slice());
-        }
+        let upstream = UdpSocket::bind(loopback()).unwrap();
+        upstream
+            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
+        let mut bridge = bind(false, upstream.local_addr().unwrap());
+        let pkt = frame([10, 7, 0, 2], [93, 184, 216, 34]);
+        bridge.emit(0, pkt.clone());
+        bridge.flush();
+        let mut buf = [0u8; MAX_FRAME];
+        let (n, _) = upstream.recv_from(&mut buf).unwrap();
+        assert_eq!(&buf[..n], pkt.serialize_raw().as_slice());
     }
 
     #[test]
     fn tcp_ingress_reassembles_length_prefixed_frames() {
-        for backend in both_backends() {
-            let mut bridge = bind(backend, true, loopback());
-            let taddr = bridge.tcp_addr().unwrap();
-            let mut client = TcpStream::connect(taddr).unwrap();
-            let pkt = frame([10, 91, 0, 9], [93, 184, 216, 34]);
-            let bytes = pkt.serialize_raw();
-            let mut msg = (u32::try_from(bytes.len()).unwrap()).to_be_bytes().to_vec();
-            msg.extend_from_slice(&bytes);
-            // Split the write mid-frame to exercise reassembly.
-            client.write_all(&msg[..7]).unwrap();
-            client.flush().unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            bridge.poll();
-            assert_eq!(bridge.pending(), 0, "half a frame must not parse");
-            client.write_all(&msg[7..]).unwrap();
-            client.flush().unwrap();
-            let mut got = 0;
-            for _ in 0..200 {
-                got = bridge.poll();
-                if got > 0 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
+        let mut bridge = bind(true, loopback());
+        let taddr = bridge.tcp_addr().unwrap();
+        let mut client = TcpStream::connect(taddr).unwrap();
+        let pkt = frame([10, 91, 0, 9], [93, 184, 216, 34]);
+        let bytes = pkt.serialize_raw();
+        let mut msg = (u32::try_from(bytes.len()).unwrap()).to_be_bytes().to_vec();
+        msg.extend_from_slice(&bytes);
+        // Split the write mid-frame to exercise reassembly.
+        client.write_all(&msg[..7]).unwrap();
+        client.flush().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        bridge.poll();
+        assert_eq!(bridge.pending(), 0, "half a frame must not parse");
+        client.write_all(&msg[7..]).unwrap();
+        client.flush().unwrap();
+        let mut got = 0;
+        for _ in 0..200 {
+            got = bridge.poll();
+            if got > 0 {
+                break;
             }
-            assert_eq!(got, 1, "{:?}", backend);
-            let (_, rx) = bridge.recv().unwrap();
-            assert_eq!(rx.serialize_raw(), bytes);
-            // The reply routes back over the same TCP connection.
-            let reply = frame([93, 184, 216, 34], [10, 91, 0, 9]);
-            bridge.emit(0, reply.clone());
-            bridge.flush();
-            let mut hdr = [0u8; 4];
-            client
-                .set_read_timeout(Some(std::time::Duration::from_secs(2)))
-                .unwrap();
-            client.read_exact(&mut hdr).unwrap();
-            let len = u32::from_be_bytes(hdr) as usize;
-            let mut body = vec![0u8; len];
-            client.read_exact(&mut body).unwrap();
-            assert_eq!(body, reply.serialize_raw());
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        assert_eq!(got, 1);
+        let (_, rx) = bridge.recv().unwrap();
+        assert_eq!(rx.serialize_raw(), bytes);
+        // The reply routes back over the same TCP connection.
+        let reply = frame([93, 184, 216, 34], [10, 91, 0, 9]);
+        bridge.emit(0, reply.clone());
+        bridge.flush();
+        let mut hdr = [0u8; 4];
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
+        client.read_exact(&mut hdr).unwrap();
+        let len = u32::from_be_bytes(hdr) as usize;
+        let mut body = vec![0u8; len];
+        client.read_exact(&mut body).unwrap();
+        assert_eq!(body, reply.serialize_raw());
     }
 
     #[test]
     fn garbage_datagrams_count_parse_errors() {
-        for backend in both_backends() {
-            let mut bridge = bind(backend, false, loopback());
-            let baddr = bridge.udp_addr().unwrap();
-            let client = UdpSocket::bind(loopback()).unwrap();
-            client.send_to(b"not an ipv4 frame", baddr).unwrap();
-            for _ in 0..200 {
-                bridge.poll();
-                if bridge.stats.parse_errors > 0 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
+        let mut bridge = bind(false, loopback());
+        let baddr = bridge.udp_addr().unwrap();
+        let client = UdpSocket::bind(loopback()).unwrap();
+        client.send_to(b"not an ipv4 frame", baddr).unwrap();
+        for _ in 0..200 {
+            bridge.poll();
+            if bridge.stats.parse_errors > 0 {
+                break;
             }
-            assert_eq!(bridge.stats.parse_errors, 1, "{:?}", backend);
-            assert_eq!(bridge.pending(), 0);
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-    }
-
-    #[test]
-    fn backend_selection_honors_forced_choices() {
-        let poll = bind(BackendChoice::Poll, false, loopback());
-        assert_eq!(poll.backend(), BackendKind::Poll);
-        if sys::EPOLL_SUPPORTED {
-            let ep = bind(BackendChoice::Epoll, false, loopback());
-            assert_eq!(ep.backend(), BackendKind::Epoll);
-            let auto = bind(BackendChoice::Auto, false, loopback());
-            assert_eq!(auto.backend(), BackendKind::Epoll);
-        } else {
-            assert!(Bridge::bind(&BridgeConfig {
-                udp: loopback(),
-                tcp: None,
-                upstream: loopback(),
-                backend: BackendChoice::Epoll,
-            })
-            .is_err());
-        }
+        assert_eq!(bridge.stats.parse_errors, 1);
+        assert_eq!(bridge.pending(), 0);
     }
 
     #[test]
     fn batched_ingress_fills_histogram_buckets() {
-        if !sys::EPOLL_SUPPORTED {
-            return;
-        }
-        let mut bridge = bind(BackendChoice::Epoll, false, loopback());
+        let mut bridge = bind(false, loopback());
         let baddr = bridge.udp_addr().unwrap();
         let client = UdpSocket::bind(loopback()).unwrap();
         let pkt = frame([10, 7, 0, 3], [93, 184, 216, 34]);
@@ -1135,10 +879,7 @@ mod tests {
 
     #[test]
     fn waker_interrupts_blocked_wait() {
-        if !sys::EPOLL_SUPPORTED {
-            return;
-        }
-        let mut bridge = bind(BackendChoice::Epoll, false, loopback());
+        let mut bridge = bind(false, loopback());
         let waker = sys::Waker::new();
         bridge.attach_waker(waker.clone()).unwrap();
         let t0 = Instant::now();

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use strata::censor_model::{CensorId, Verdict};
 use strata::report::render_reload_json;
 
-use crate::SvcShared;
+use crate::{unpoisoned, SvcShared};
 
 /// The result of vetting (and possibly applying) a config body.
 pub struct ReloadOutcome {
@@ -168,7 +168,7 @@ pub fn apply_config(shared: &SvcShared, text: &str) -> ReloadOutcome {
             for program in programs {
                 shared.cache.insert(program);
             }
-            *shared.rollout.write().expect("rollout lock poisoned") = Arc::new(table);
+            *unpoisoned(shared.rollout.write()) = Arc::new(table);
             shared
                 .reloads
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

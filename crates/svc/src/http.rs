@@ -15,19 +15,24 @@
 //!
 //! The listener is serial (one request at a time): an operator plane
 //! sees curl-scale load, and serial handling keeps every response a
-//! consistent point-in-time snapshot.
+//! consistent point-in-time snapshot. A whole-request deadline bounds
+//! how long one client can hold it.
 
-use crate::{control, SvcShared};
-use std::io::{Read, Write};
+use crate::{control, sys, unpoisoned, SvcShared};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-#[cfg(target_os = "linux")]
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cap on a request (line + headers + body) — config bodies are DSL
 /// text, kilobytes at most.
 const MAX_REQUEST: usize = 1 << 20;
+
+/// Time a client gets from accept to a complete request. It bounds the
+/// whole request, not each read: a per-read timeout lets a client that
+/// sends one byte at a time hold the serial listener indefinitely.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(1);
 
 /// A parsed request: method, path, query, body.
 #[derive(Debug, PartialEq, Eq)]
@@ -65,7 +70,9 @@ pub fn parse_request(raw: &[u8]) -> Option<Request> {
         }
     }
     let body_start = head_end + 4;
-    let body = raw.get(body_start..body_start + content_length)?.to_vec();
+    let body = raw
+        .get(body_start..body_start.checked_add(content_length)?)?
+        .to_vec();
     Some(Request {
         method,
         path,
@@ -78,10 +85,11 @@ fn find_header_end(raw: &[u8]) -> Option<usize> {
     raw.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Read a full request off a stream (bounded, with a read timeout so a
-/// stalled client cannot wedge the control plane).
+/// Read a full request off a stream: at most [`MAX_REQUEST`] bytes,
+/// within [`REQUEST_DEADLINE`] of the call. `None` when the client
+/// closes, errs, or runs out of time first.
 fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut raw = Vec::new();
     let mut buf = [0u8; 4096];
     loop {
@@ -92,10 +100,14 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
         if raw.len() > MAX_REQUEST {
             return None;
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        stream.set_read_timeout(Some(left)).ok()?;
         match stream.read(&mut buf) {
-            Ok(0) => return parse_request(&raw),
+            Ok(0) | Err(_) => return None,
             Ok(n) => raw.extend_from_slice(&buf[..n]),
-            Err(_) => return parse_request(&raw),
         }
     }
 }
@@ -119,35 +131,28 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
     let _ = stream.flush();
 }
 
-/// Serve the control plane until `shared.control_stop` is set.
-///
-/// Where epoll exists the loop blocks on {listener, stop-waker} with
-/// no timeout — an idle control plane makes **zero timed wakeups**;
-/// [`crate::Service::join`] fires `shared.control_waker` after setting
-/// the stop flag. Elsewhere (or if epoll setup fails) it falls back to
-/// nonblocking accepts with a 3ms stop-flag poll.
-pub fn serve(listener: &TcpListener, shared: &SvcShared) {
-    let _ = listener.set_nonblocking(true);
-    #[cfg(target_os = "linux")]
-    if serve_epoll(listener, shared).is_ok() {
-        return;
-    }
-    serve_polling(listener, shared);
+/// Make `listener` nonblocking and register it and
+/// `shared.control_waker` with a fresh epoll instance: the set
+/// [`serve`] blocks on.
+pub fn listen(listener: &TcpListener, shared: &SvcShared) -> io::Result<sys::Epoll> {
+    listener.set_nonblocking(true)?;
+    let ep = sys::Epoll::new(sys::SyscallCounter::new())?;
+    ep.add(listener.as_raw_fd(), 0, sys::EV_READ)?;
+    ep.add(shared.control_waker.fd()?, 1, sys::EV_READ)?;
+    Ok(ep)
 }
 
-#[cfg(target_os = "linux")]
-fn serve_epoll(listener: &TcpListener, shared: &SvcShared) -> std::io::Result<()> {
-    use crate::sys;
-    let wake_fd = shared.control_waker.fd().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::Unsupported, "no control waker fd")
-    })?;
-    let mut ep = sys::Epoll::new(sys::SyscallCounter::new())?;
-    ep.add(listener.as_raw_fd(), 0, sys::EV_READ)?;
-    ep.add(wake_fd, 1, sys::EV_READ)?;
+/// Serve the control plane on the epoll set from [`listen`] until
+/// `shared.control_stop` is set.
+///
+/// The loop blocks on {listener, stop-waker} with no timeout — an idle
+/// control plane makes **zero timed wakeups**; [`crate::Service::join`]
+/// fires `shared.control_waker` after setting the stop flag.
+pub fn serve(listener: &TcpListener, mut ep: sys::Epoll, shared: &SvcShared) {
     let mut events = Vec::with_capacity(4);
     loop {
         if shared.control_stop.load(Ordering::Relaxed) {
-            return Ok(());
+            return;
         }
         events.clear();
         // Block until a connection or a waker kick — no timeout, so an
@@ -161,24 +166,6 @@ fn serve_epoll(listener: &TcpListener, shared: &SvcShared) -> std::io::Result<()
         while let Ok((mut stream, _)) = listener.accept() {
             let _ = stream.set_nonblocking(false);
             handle(&mut stream, shared);
-        }
-    }
-}
-
-fn serve_polling(listener: &TcpListener, shared: &SvcShared) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                handle(&mut stream, shared);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if shared.control_stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(3));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(3)),
         }
     }
 }
@@ -213,11 +200,7 @@ fn handle(stream: &mut TcpStream, shared: &SvcShared) {
             respond(stream, 200, "application/json", &body);
         }
         ("GET", "/metrics") => {
-            let report = shared
-                .snapshot
-                .lock()
-                .map(|r| r.clone())
-                .unwrap_or_default();
+            let report = unpoisoned(shared.snapshot.lock()).clone();
             if req.query.split('&').any(|kv| kv == "format=prometheus") {
                 let body = prometheus(shared, &report);
                 respond(stream, 200, "text/plain; version=0.0.4", &body);
@@ -264,12 +247,8 @@ fn handle(stream: &mut TcpStream, shared: &SvcShared) {
 /// own counters live under `/metrics`). Additive, presence-based —
 /// same compatibility rule as [`dplane::MetricsReport::to_json`].
 fn status_json(shared: &SvcShared) -> String {
-    let snapshot = shared
-        .snapshot
-        .lock()
-        .map(|r| r.clone())
-        .unwrap_or_default();
-    let bridge = shared.bridge_stats.lock().map(|s| *s).unwrap_or_default();
+    let snapshot = unpoisoned(shared.snapshot.lock()).clone();
+    let bridge = *unpoisoned(shared.bridge_stats.lock());
     let uptime_ms = snapshot.uptime_ms.unwrap_or(0);
     let pps_milli = snapshot.ingest_pps_milli.unwrap_or(0);
     let fpb: Vec<String> = bridge.frames_per_batch.iter().map(u64::to_string).collect();
@@ -277,7 +256,7 @@ fn status_json(shared: &SvcShared) -> String {
         "{{\"service\":\"cay-serve\",\"uptime_ms\":{uptime_ms},\"draining\":{},\
          \"packets\":{},\"ingest_pps\":{}.{:03},\"flows_live\":{},\
          \"rollout_rules\":{},\"reloads\":{},\"reload_rejects\":{},\
-         \"bridge\":{{\"backend\":\"{}\",\"frames_in\":{},\"frames_out\":{},\
+         \"bridge\":{{\"backend\":\"epoll\",\"frames_in\":{},\"frames_out\":{},\
          \"parse_errors\":{},\"unroutable\":{},\"tcp_accepted\":{},\
          \"syscalls\":{},\"recv_batches\":{},\"frames_per_batch\":[{}],\
          \"egress_backpressure_events\":{}}}}}\n",
@@ -289,7 +268,6 @@ fn status_json(shared: &SvcShared) -> String {
         shared.rollout_rules(),
         shared.reloads.load(Ordering::Relaxed),
         shared.reload_rejects.load(Ordering::Relaxed),
-        bridge.backend.name(),
         bridge.frames_in,
         bridge.frames_out,
         bridge.parse_errors,
@@ -362,7 +340,7 @@ pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String 
         "Refused config reloads.",
         shared.reload_rejects.load(Ordering::Relaxed),
     );
-    let bridge = shared.bridge_stats.lock().map(|s| *s).unwrap_or_default();
+    let bridge = *unpoisoned(shared.bridge_stats.lock());
     counter(
         "cay_bridge_syscalls_total",
         "Syscalls made by the socket bridge.",
@@ -396,12 +374,11 @@ pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String 
         "cay_bridge_frames_per_batch_bucket{{le=\"+Inf\"}} {cumulative}\n\
          cay_bridge_frames_per_batch_count {cumulative}\n"
     ));
-    out.push_str(&format!(
+    out.push_str(
         "# HELP cay_bridge_backend The socket backend in use.\n\
          # TYPE cay_bridge_backend gauge\n\
-         cay_bridge_backend{{backend=\"{}\"}} 1\n",
-        bridge.backend.name()
-    ));
+         cay_bridge_backend{backend=\"epoll\"} 1\n",
+    );
     out.push_str(&format!(
         "# HELP cay_flows_live Live flow-table entries.\n# TYPE cay_flows_live gauge\ncay_flows_live {}\n",
         report.flows_live
@@ -464,5 +441,10 @@ mod tests {
     fn garbage_is_rejected() {
         assert!(parse_request(b"\r\n\r\n").is_none());
         assert!(parse_request(b"nonsense").is_none());
+        // A body length that overflows `usize` arithmetic.
+        assert!(parse_request(
+            b"POST /config HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n"
+        )
+        .is_none());
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! * [`bridge::Bridge`] — a socket-backed [`dplane::PacketIo`]:
 //!   frame-in-datagram UDP (one raw IPv4 frame per datagram) plus
-//!   length-prefixed TCP streams, nonblocking `std::net` only. Works
-//!   unprivileged, so the whole service is testable on loopback.
+//!   length-prefixed TCP streams, on an epoll + `recvmmsg`/`sendmmsg`
+//!   event loop (Linux-only). Works unprivileged, so the whole service
+//!   is testable on loopback.
 //! * [`http`] — a hand-rolled HTTP/1.1 control plane: `GET /ready`,
 //!   `GET /status`, `GET /metrics` (JSON or Prometheus text), `POST
 //!   /config` (hot strategy reload through the proof gate, see
@@ -35,12 +36,10 @@
 
 pub mod bridge;
 pub mod control;
-pub mod gate;
 pub mod http;
-pub(crate) mod sync_shim;
 pub mod sys;
 
-pub use bridge::{BackendChoice, BackendKind, Bridge, BridgeConfig, BridgeStats};
+pub use bridge::{BackendChoice, Bridge, BridgeConfig, BridgeStats};
 pub use control::{apply_config, vet_config, ReloadOutcome};
 
 use dplane::{Classifier, Dplane, DplaneConfig, MetricsReport, PacketIo, ProgramCache};
@@ -50,9 +49,16 @@ use packet::Packet;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Take a lock guard even if a previous holder panicked. Every writer
+/// of [`SvcShared`]'s locks replaces the whole value in one assignment,
+/// so a poisoned lock still holds a complete value.
+pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// State shared between the data thread, the control plane, and the
 /// embedding process.
@@ -87,9 +93,9 @@ pub struct SvcShared {
     pub protocol: appproto::AppProtocol,
     /// Client-prefix → country, for reload vetting.
     pub geo: GeoTable,
-    /// Kicks the data thread out of a blocked idle wait (epoll
-    /// backend; a no-op elsewhere). Fired on shutdown and on accepted
-    /// reloads so neither waits out the idle timeout.
+    /// Kicks the data thread out of a blocked idle wait. Fired on
+    /// shutdown and on accepted reloads so neither waits out the idle
+    /// timeout.
     pub data_waker: sys::Waker,
     /// Kicks the control listener out of its blocked accept wait so
     /// [`Service::join`] does not hang on an idle control plane.
@@ -110,7 +116,7 @@ impl SvcShared {
 impl SvcShared {
     /// Rule count of the live rollout table.
     pub fn rollout_rules(&self) -> usize {
-        self.rollout.read().map(|t| t.len()).unwrap_or(0)
+        unpoisoned(self.rollout.read()).len()
     }
 }
 
@@ -130,7 +136,7 @@ impl Classifier for RolloutClassifier {
         } else {
             first_pkt.ip.src
         };
-        self.shared.rollout.read().ok()?.pick(client)
+        unpoisoned(self.shared.rollout.read()).pick(client)
     }
 }
 
@@ -228,7 +234,7 @@ impl Core {
                 .checked_div(uptime_ms)
                 .unwrap_or(0),
         );
-        *self.shared.snapshot.lock().expect("snapshot poisoned") = report;
+        *unpoisoned(self.shared.snapshot.lock()) = report;
     }
 }
 
@@ -258,14 +264,15 @@ pub struct Service {
     pub tcp_addr: Option<SocketAddr>,
     /// Bound control-plane address (resolves port 0).
     pub control_addr: SocketAddr,
-    /// The socket backend the bridge resolved to.
-    pub backend: bridge::BackendKind,
     data: JoinHandle<MetricsReport>,
     control: JoinHandle<()>,
 }
 
 impl Service {
-    /// Bind every socket and start the data + control threads.
+    /// Bind every socket, register them and both wakers with their
+    /// epoll sets, and start the data + control threads. Any failure,
+    /// an eventfd that could not be created included, is an error here
+    /// rather than a degraded service.
     pub fn start(cfg: ServeConfig) -> io::Result<Service> {
         let mut bridge = Bridge::bind(&cfg.bridge)?;
         let udp_addr = bridge.udp_addr()?;
@@ -275,23 +282,19 @@ impl Service {
         let core = Core::new(cfg.core);
         let shared = core.shared.clone();
         bridge.attach_waker(shared.data_waker.clone())?;
-        let backend = bridge.backend();
-        // Seed the published stats so `/status` names the right
-        // backend before the first data-loop publish.
-        *shared.bridge_stats.lock().expect("stats poisoned") = bridge.stats;
+        let control_ep = http::listen(&listener, &shared)?;
         let data = std::thread::Builder::new()
             .name("cay-data".into())
             .spawn(move || data_loop(core, bridge))?;
         let control_shared = shared.clone();
         let control = std::thread::Builder::new()
             .name("cay-control".into())
-            .spawn(move || http::serve(&listener, &control_shared))?;
+            .spawn(move || http::serve(&listener, control_ep, &control_shared))?;
         Ok(Service {
             shared,
             udp_addr,
             tcp_addr,
             control_addr,
-            backend,
             data,
             control,
         })
@@ -314,9 +317,9 @@ impl Service {
 }
 
 /// The data thread: poll sockets → pump the plane → publish, then an
-/// idle wait (epoll: blocked in `epoll_wait` until traffic or a waker
-/// kick, bounded by the publish cadence; poll backend: the historical
-/// 300µs sleep), and a quiet-period drain on shutdown.
+/// idle wait (blocked in `epoll_wait` until traffic or a waker kick,
+/// bounded by the publish cadence), and a quiet-period drain on
+/// shutdown.
 fn data_loop(mut core: Core, mut bridge: Bridge) -> MetricsReport {
     let shared = core.shared.clone();
     let mut last_publish = Instant::now();
@@ -327,7 +330,7 @@ fn data_loop(mut core: Core, mut bridge: Bridge) -> MetricsReport {
             if n == 0 {
                 core.publish();
             }
-            *shared.bridge_stats.lock().expect("stats poisoned") = bridge.stats;
+            *unpoisoned(shared.bridge_stats.lock()) = bridge.stats;
             last_publish = Instant::now();
         }
         if shared.shutdown.load(Ordering::Relaxed) {
@@ -354,10 +357,7 @@ fn data_loop(mut core: Core, mut bridge: Bridge) -> MetricsReport {
     // Flush the final snapshot — the metrics an operator scrapes after
     // shutdown are complete.
     core.publish();
-    *shared.bridge_stats.lock().expect("stats poisoned") = bridge.stats;
-    shared
-        .snapshot
-        .lock()
-        .map(|r| r.clone())
-        .unwrap_or_default()
+    *unpoisoned(shared.bridge_stats.lock()) = bridge.stats;
+    let report = unpoisoned(shared.snapshot.lock()).clone();
+    report
 }

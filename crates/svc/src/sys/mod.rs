@@ -1,4 +1,4 @@
-//! Event-driven I/O primitives for the bridge's batched backend.
+//! Event-driven I/O primitives for the bridge.
 //!
 //! This module is the only place in `crates/svc` allowed to touch raw
 //! syscalls: [`ffi`] holds the hand-declared bindings and every
@@ -7,34 +7,25 @@
 //!
 //! * [`SyscallCounter`] — a shared counter every wrapper bumps once
 //!   per syscall, so `cay bench` can report *syscalls per packet*
-//!   honestly for both backends (the readiness-poll fallback bumps it
-//!   by hand around its `std::net` calls).
+//!   honestly (the bridge bumps it by hand around its `std::net`
+//!   accept/read/write calls).
 //! * [`Epoll`] / [`EventFd`] — level-triggered readiness and a
-//!   cross-thread wakeup fd (Linux only; the fallback backend never
-//!   constructs them).
+//!   cross-thread wakeup fd.
 //! * [`RecvArena`] / [`SendScratch`] — preallocated `recvmmsg` /
 //!   `sendmmsg` vectors: buffers, sockaddrs, iovecs, and mmsghdrs are
 //!   allocated once at bind time and recycled every batch, so the
 //!   steady-state datagram path performs no per-packet allocation in
 //!   the I/O layer.
-//! * [`Waker`] — a portable wrapper over [`EventFd`]: on Linux it
-//!   wakes a blocked epoll loop; elsewhere it is a no-op (the fallback
-//!   loop uses short timed sleeps and needs no kick).
+//! * [`Waker`] — a clonable handle over an [`EventFd`] that wakes a
+//!   blocked epoll loop.
 
 pub mod ffi;
 
+use std::io;
+use std::net::{SocketAddr, SocketAddrV4};
+use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-#[cfg(target_os = "linux")]
-use std::io;
-#[cfg(target_os = "linux")]
-use std::net::{SocketAddr, SocketAddrV4};
-#[cfg(target_os = "linux")]
-use std::os::unix::io::RawFd;
-
-/// True when the epoll backend can exist on this platform.
-pub const EPOLL_SUPPORTED: bool = cfg!(target_os = "linux");
 
 /// Readable-readiness bit in [`Event::events`].
 pub const EV_READ: u32 = ffi::EPOLLIN;
@@ -85,14 +76,12 @@ impl Event {
 }
 
 /// RAII wrapper over a level-triggered epoll instance.
-#[cfg(target_os = "linux")]
 pub struct Epoll {
     fd: RawFd,
     ctr: SyscallCounter,
     raw: Vec<ffi::EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
 impl Epoll {
     pub fn new(ctr: SyscallCounter) -> io::Result<Epoll> {
         ctr.bump();
@@ -146,7 +135,6 @@ impl Epoll {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Epoll {
     fn drop(&mut self) {
         ffi::close_fd(self.fd);
@@ -154,12 +142,10 @@ impl Drop for Epoll {
 }
 
 /// RAII wrapper over a nonblocking eventfd.
-#[cfg(target_os = "linux")]
 pub struct EventFd {
     fd: RawFd,
 }
 
-#[cfg(target_os = "linux")]
 impl EventFd {
     pub fn new() -> io::Result<EventFd> {
         Ok(EventFd {
@@ -183,7 +169,6 @@ impl EventFd {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for EventFd {
     fn drop(&mut self) {
         ffi::close_fd(self.fd);
@@ -191,75 +176,45 @@ impl Drop for EventFd {
 }
 
 /// A cross-thread wakeup handle: [`Waker::wake`] is callable from any
-/// thread; on Linux the underlying eventfd can be registered on an
-/// epoll loop via [`Waker::fd`]. On other platforms (and on eventfd
-/// creation failure) it falls back to the portable sticky
-/// [`crate::gate::WakeGate`], so poll-driven loops still get real,
-/// interruptible wakeups instead of racing a blind sleep.
+/// thread, and the eventfd behind it is registered on an epoll loop
+/// via [`Waker::fd`]. Clones share the eventfd. Eventfd creation
+/// failure is reported by [`Waker::fd`], so socket-free users (a
+/// [`crate::Core`] over an in-memory queue) never need one, and
+/// [`crate::Service::start`] fails loudly instead.
 #[derive(Clone, Default)]
 pub struct Waker {
-    #[cfg(target_os = "linux")]
-    inner: Option<Arc<EventFd>>,
-    /// Portable sticky fallback; always present (it also serves as
-    /// the model-checked stand-in for the eventfd in weave tests).
-    gate: crate::gate::WakeGate,
+    efd: Option<Arc<EventFd>>,
 }
 
 impl Waker {
     pub fn new() -> Waker {
-        #[cfg(target_os = "linux")]
-        {
-            Waker {
-                inner: EventFd::new().ok().map(Arc::new),
-                gate: crate::gate::WakeGate::new(),
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Waker {
-                gate: crate::gate::WakeGate::new(),
-            }
+        Waker {
+            efd: EventFd::new().ok().map(Arc::new),
         }
     }
 
-    /// Wake the loop watching this waker: signal the eventfd when one
-    /// exists, and always set the portable gate (sticky on both
-    /// paths, so a wake that lands before the loop blocks is kept).
+    /// Wake the loop watching this waker. Sticky: the eventfd stays
+    /// readable until drained, so a wake that lands before the loop
+    /// blocks is kept.
     pub fn wake(&self) {
-        #[cfg(target_os = "linux")]
-        if let Some(efd) = &self.inner {
+        if let Some(efd) = &self.efd {
             efd.signal();
         }
-        self.gate.wake();
     }
 
-    /// The registrable fd, when one exists.
-    #[cfg(target_os = "linux")]
-    pub fn fd(&self) -> Option<RawFd> {
-        self.inner.as_ref().map(|efd| efd.fd())
+    /// The registrable eventfd.
+    pub fn fd(&self) -> io::Result<RawFd> {
+        self.efd
+            .as_ref()
+            .map(|efd| efd.fd())
+            .ok_or_else(|| io::Error::other("eventfd could not be created"))
     }
 
     /// Reset after a wakeup was observed.
     pub fn drain(&self) {
-        #[cfg(target_os = "linux")]
-        if let Some(efd) = &self.inner {
+        if let Some(efd) = &self.efd {
             efd.drain();
         }
-        self.gate.consume();
-    }
-
-    /// Park on the portable gate until a wake arrives or `timeout`
-    /// lapses, consuming the wake. The blocking primitive for loops
-    /// with no registrable fd (the bridge's poll fallback): a wake
-    /// issued at any point — even before the park — cuts the wait
-    /// short. Returns true when woken.
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> bool {
-        self.gate.wait_timeout(timeout)
-    }
-
-    /// The portable sticky gate behind this waker.
-    pub fn gate(&self) -> &crate::gate::WakeGate {
-        &self.gate
     }
 }
 
@@ -267,7 +222,6 @@ impl Waker {
 /// plus the sockaddr/iovec/mmsghdr vectors describing them. One arena
 /// serves every batch for the life of the socket — zero steady-state
 /// allocation.
-#[cfg(target_os = "linux")]
 pub struct RecvArena {
     bufs: Vec<Vec<u8>>,
     addrs: Vec<ffi::SockAddrIn>,
@@ -276,7 +230,6 @@ pub struct RecvArena {
     filled: usize,
 }
 
-#[cfg(target_os = "linux")]
 impl RecvArena {
     pub fn new(batch: usize, buf_size: usize) -> RecvArena {
         let batch = batch.max(1);
@@ -313,7 +266,6 @@ impl RecvArena {
 
 /// Drain up to one batch of datagrams from `fd` into `arena`. Returns
 /// 0 when the socket has nothing ready (`WouldBlock` is not an error).
-#[cfg(target_os = "linux")]
 pub fn recv_batch(fd: RawFd, arena: &mut RecvArena, ctr: &SyscallCounter) -> io::Result<usize> {
     // Rebuild the pointer vectors from fresh borrows each call: the
     // storage never moves (fixed-capacity Vecs allocated in `new`),
@@ -351,7 +303,6 @@ pub fn recv_batch(fd: RawFd, arena: &mut RecvArena, ctr: &SyscallCounter) -> io:
 
 /// Reusable `sendmmsg` pointer vectors (the payload bytes themselves
 /// belong to the caller's egress queue).
-#[cfg(target_os = "linux")]
 #[derive(Default)]
 pub struct SendScratch {
     addrs: Vec<ffi::SockAddrIn>,
@@ -359,7 +310,6 @@ pub struct SendScratch {
     hdrs: Vec<ffi::MMsgHdr>,
 }
 
-#[cfg(target_os = "linux")]
 impl SendScratch {
     pub fn new() -> SendScratch {
         SendScratch::default()
@@ -371,7 +321,6 @@ impl SendScratch {
 /// messages were sent; `Ok(0)` with a non-empty input means the socket
 /// buffer is full (`WouldBlock` folded in, so callers treat it as
 /// backpressure rather than an error).
-#[cfg(target_os = "linux")]
 pub fn send_batch(
     fd: RawFd,
     scratch: &mut SendScratch,

@@ -14,6 +14,7 @@ use harness::deploy::{demo_geo_entries, RolloutTable};
 use packet::{Packet, TcpFlags};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 use svc::{BackendChoice, BridgeConfig, Core, CoreConfig, ServeConfig, Service};
 
@@ -21,23 +22,6 @@ const SERVER: [u8; 4] = [93, 184, 216, 34];
 
 fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
-}
-
-/// Every backend this platform can run (forced, not `Auto`, so each
-/// test run exercises a known code path).
-fn backends() -> Vec<BackendChoice> {
-    if svc::sys::EPOLL_SUPPORTED {
-        vec![BackendChoice::Epoll, BackendChoice::Poll]
-    } else {
-        vec![BackendChoice::Poll]
-    }
-}
-
-fn backend_name(b: BackendChoice) -> &'static str {
-    match b {
-        BackendChoice::Epoll => "epoll",
-        _ => "poll",
-    }
 }
 
 /// Pull one unsigned integer field out of a flat JSON body.
@@ -68,7 +52,7 @@ fn core_cfg() -> CoreConfig {
     }
 }
 
-fn start_service_with(backend: BackendChoice) -> (Service, UdpSocket) {
+fn start_service() -> (Service, UdpSocket) {
     let origin = UdpSocket::bind(loopback()).unwrap();
     origin
         .set_read_timeout(Some(Duration::from_secs(3)))
@@ -78,17 +62,13 @@ fn start_service_with(backend: BackendChoice) -> (Service, UdpSocket) {
             udp: loopback(),
             tcp: None,
             upstream: origin.local_addr().unwrap(),
-            backend,
+            backend: BackendChoice::Epoll,
         },
         control: loopback(),
         core: core_cfg(),
     })
     .unwrap();
     (service, origin)
-}
-
-fn start_service() -> (Service, UdpSocket) {
-    start_service_with(BackendChoice::Auto)
 }
 
 /// One HTTP request against the control plane; returns (status, body).
@@ -181,15 +161,7 @@ fn drain_socket(sock: &UdpSocket, settle: Duration) -> Vec<Vec<u8>> {
 
 #[test]
 fn live_loopback_is_byte_identical_to_offline_vecio() {
-    // The same assertion must hold on both socket backends — the data
-    // plane may not be able to tell them apart.
-    for backend in backends() {
-        live_offline_identity(backend);
-    }
-}
-
-fn live_offline_identity(backend: BackendChoice) {
-    let (service, origin) = start_service_with(backend);
+    let (service, origin) = start_service();
     let client_sock = UdpSocket::bind(loopback()).unwrap();
     let client = [10, 7, 0, 2]; // China prefix: strategy applies
     let pkts = exchange(client, 40001);
@@ -256,15 +228,12 @@ fn live_offline_identity(backend: BackendChoice) {
     }
     assert_eq!(
         live_stripped, offline_json,
-        "live /metrics vs offline report ({backend:?})"
+        "live /metrics vs offline report"
     );
 
-    // /status names the backend actually running.
+    // /status names the socket backend.
     let (_, body) = get(service.control_addr, "/status");
-    assert!(
-        body.contains(&format!("\"backend\":\"{}\"", backend_name(backend))),
-        "{body}"
-    );
+    assert!(body.contains("\"backend\":\"epoll\""), "{body}");
 
     // Graceful shutdown: drain, flush, exit — both threads join.
     let (status, body) = post(service.control_addr, "/shutdown", "");
@@ -341,7 +310,7 @@ fn tcp_front_end_round_trips_frames() {
             udp: loopback(),
             tcp: Some(loopback()),
             upstream: origin.local_addr().unwrap(),
-            backend: BackendChoice::Auto,
+            backend: BackendChoice::Epoll,
         },
         control: loopback(),
         core: core_cfg(),
@@ -383,106 +352,165 @@ fn tcp_front_end_round_trips_frames() {
 
 /// A TCP peer that reads nothing while the origin floods frames at it
 /// must not lose, reorder, or corrupt a single frame: the egress queue
-/// absorbs what the socket buffer refuses (EPOLLOUT on the epoll
-/// backend, retry-next-flush on the poll backend), and the counters
-/// record that backpressure happened.
+/// absorbs what the socket buffer refuses behind an armed EPOLLOUT, and
+/// the counters record that backpressure happened.
 #[test]
 fn tcp_backpressure_preserves_order_without_loss() {
-    for backend in backends() {
-        let origin = UdpSocket::bind(loopback()).unwrap();
-        origin
-            .set_read_timeout(Some(Duration::from_secs(3)))
-            .unwrap();
-        let service = Service::start(ServeConfig {
-            bridge: BridgeConfig {
-                udp: loopback(),
-                tcp: Some(loopback()),
-                upstream: origin.local_addr().unwrap(),
-                backend,
-            },
-            control: loopback(),
-            core: core_cfg(),
-        })
+    let origin = UdpSocket::bind(loopback()).unwrap();
+    origin
+        .set_read_timeout(Some(Duration::from_secs(3)))
         .unwrap();
-        let taddr = service.tcp_addr.unwrap();
-        let mut stream = TcpStream::connect(taddr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
+    let service = Service::start(ServeConfig {
+        bridge: BridgeConfig {
+            udp: loopback(),
+            tcp: Some(loopback()),
+            upstream: origin.local_addr().unwrap(),
+            backend: BackendChoice::Epoll,
+        },
+        control: loopback(),
+        core: core_cfg(),
+    })
+    .unwrap();
+    let taddr = service.tcp_addr.unwrap();
+    let mut stream = TcpStream::connect(taddr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
 
-        // A client outside every geo prefix: no strategy applies, so
-        // the plane passes frames through byte-identically and the
-        // received stream can be compared against the sent bytes.
-        let client = [172, 16, 0, 8];
-        let syn = tcp_pkt(client, 41000, SERVER, 80, TcpFlags::SYN, 1, 0, vec![]);
-        let bytes = syn.serialize_raw();
-        let mut msg = (u32::try_from(bytes.len()).unwrap()).to_be_bytes().to_vec();
-        msg.extend_from_slice(&bytes);
-        stream.write_all(&msg).unwrap();
-        let fwd = drain_socket(&origin, Duration::from_millis(300));
-        assert_eq!(fwd.len(), 1, "route-teaching SYN forwarded ({backend:?})");
+    // A client outside every geo prefix: no strategy applies, so
+    // the plane passes frames through byte-identically and the
+    // received stream can be compared against the sent bytes.
+    let client = [172, 16, 0, 8];
+    let syn = tcp_pkt(client, 41000, SERVER, 80, TcpFlags::SYN, 1, 0, vec![]);
+    let bytes = syn.serialize_raw();
+    let mut msg = (u32::try_from(bytes.len()).unwrap()).to_be_bytes().to_vec();
+    msg.extend_from_slice(&bytes);
+    stream.write_all(&msg).unwrap();
+    let fwd = drain_socket(&origin, Duration::from_millis(300));
+    assert_eq!(fwd.len(), 1, "route-teaching SYN forwarded");
 
-        // Flood: far more data toward the unread TCP connection than
-        // the kernel socket buffers can hold, so the bridge must queue.
-        const FRAMES: usize = 1024;
-        const PAYLOAD: usize = 16 * 1024;
-        let mut expected: Vec<Vec<u8>> = Vec::with_capacity(FRAMES);
-        for i in 0..FRAMES {
-            let mut payload = vec![u8::try_from(i % 251).unwrap(); PAYLOAD];
-            payload[..4].copy_from_slice(&(u32::try_from(i).unwrap()).to_be_bytes());
-            let pkt = tcp_pkt(
-                SERVER,
-                80,
-                client,
-                41000,
-                TcpFlags::PSH_ACK,
-                100 + u32::try_from(i).unwrap(),
-                2,
-                payload,
-            );
-            let raw = pkt.serialize_raw();
-            origin.send_to(&raw, service.udp_addr).unwrap();
-            expected.push(raw);
-            // Pace the UDP ingress so the bridge's receive buffer (not
-            // under test here) never overflows; the TCP egress side
-            // still backs up because nothing is reading.
-            if i % 2 == 1 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-
-        // Now read everything back: every frame, in order, bit-equal.
-        for want in &expected {
-            let mut hdr = [0u8; 4];
-            stream.read_exact(&mut hdr).unwrap();
-            let len = u32::from_be_bytes(hdr) as usize;
-            let mut frame = vec![0u8; len];
-            stream.read_exact(&mut frame).unwrap();
-            assert_eq!(&frame, want, "frame loss/reorder/corruption ({backend:?})");
-        }
-
-        // The counters saw the backpressure and nothing was dropped.
-        let deadline = Instant::now() + Duration::from_secs(3);
-        let mut body = get(service.control_addr, "/status").1;
-        while json_u64(&body, "egress_backpressure_events") == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-            body = get(service.control_addr, "/status").1;
-        }
-        assert!(
-            json_u64(&body, "egress_backpressure_events") > 0,
-            "a full socket buffer must be observable ({backend:?}): {body}"
+    // Flood: far more data toward the unread TCP connection than
+    // the kernel socket buffers can hold, so the bridge must queue.
+    const FRAMES: usize = 1024;
+    const PAYLOAD: usize = 16 * 1024;
+    let mut expected: Vec<Vec<u8>> = Vec::with_capacity(FRAMES);
+    for i in 0..FRAMES {
+        let mut payload = vec![u8::try_from(i % 251).unwrap(); PAYLOAD];
+        payload[..4].copy_from_slice(&(u32::try_from(i).unwrap()).to_be_bytes());
+        let pkt = tcp_pkt(
+            SERVER,
+            80,
+            client,
+            41000,
+            TcpFlags::PSH_ACK,
+            100 + u32::try_from(i).unwrap(),
+            2,
+            payload,
         );
-        assert_eq!(json_u64(&body, "unroutable"), 0, "{body}");
-        assert!(
-            body.contains(&format!("\"backend\":\"{}\"", backend_name(backend))),
-            "{body}"
-        );
-        service.shutdown();
-        let report = service.join();
-        assert_eq!(
-            report.totals().packets,
-            u64::try_from(FRAMES).unwrap() + 1,
-            "{backend:?}"
-        );
+        let raw = pkt.serialize_raw();
+        origin.send_to(&raw, service.udp_addr).unwrap();
+        expected.push(raw);
+        // Pace the UDP ingress so the bridge's receive buffer (not
+        // under test here) never overflows; the TCP egress side
+        // still backs up because nothing is reading.
+        if i % 2 == 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
+
+    // Now read everything back: every frame, in order, bit-equal.
+    for want in &expected {
+        let mut hdr = [0u8; 4];
+        stream.read_exact(&mut hdr).unwrap();
+        let len = u32::from_be_bytes(hdr) as usize;
+        let mut frame = vec![0u8; len];
+        stream.read_exact(&mut frame).unwrap();
+        assert_eq!(&frame, want, "frame loss/reorder/corruption");
+    }
+
+    // The counters saw the backpressure and nothing was dropped.
+    let deadline = Instant::now() + Duration::from_secs(3);
+    let mut body = get(service.control_addr, "/status").1;
+    while json_u64(&body, "egress_backpressure_events") == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        body = get(service.control_addr, "/status").1;
+    }
+    assert!(
+        json_u64(&body, "egress_backpressure_events") > 0,
+        "a full socket buffer must be observable: {body}"
+    );
+    assert_eq!(json_u64(&body, "unroutable"), 0, "{body}");
+    assert!(body.contains("\"backend\":\"epoll\""), "{body}");
+    service.shutdown();
+    let report = service.join();
+    assert_eq!(report.totals().packets, u64::try_from(FRAMES).unwrap() + 1);
+}
+
+/// A client that trickles its request one byte at a time cannot hold
+/// the serial control plane: the whole-request deadline cuts it off,
+/// so a readiness probe queued behind it still answers promptly.
+#[test]
+fn slow_client_cannot_stall_the_control_plane() {
+    let (service, _origin) = start_service();
+    let ctl = service.control_addr;
+    let (connected, is_connected) = std::sync::mpsc::channel();
+    let trickler = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(ctl).unwrap();
+        let start = Instant::now();
+        // A header that never ends, one byte every 100 ms for 3 s.
+        let bytes = b"GET /ready HTTP/1.1\r\nX-Trickle: "
+            .iter()
+            .chain(std::iter::repeat(&b'a'));
+        for (i, byte) in bytes.enumerate() {
+            if start.elapsed() > Duration::from_secs(3) || stream.write_all(&[*byte]).is_err() {
+                break;
+            }
+            if i == 0 {
+                connected.send(()).unwrap();
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    // The trickler is first in the accept queue before the probe starts.
+    is_connected.recv().unwrap();
+    let t0 = Instant::now();
+    let (status, body) = get(ctl, "/ready");
+    let waited = t0.elapsed();
+    assert_eq!((status, body.trim_end()), (200, "{\"ready\":true}"));
+    assert!(
+        waited < Duration::from_millis(1500),
+        "/ready waited {waited:?} behind a slow client"
+    );
+    trickler.join().unwrap();
+    service.shutdown();
+    service.join();
+}
+
+/// A panic while holding the snapshot lock poisons it; publishing must
+/// recover the lock instead of taking the data thread down with it.
+#[test]
+fn core_still_publishes_after_the_snapshot_lock_is_poisoned() {
+    let mut core = Core::new(core_cfg());
+    let shared = core.shared.clone();
+    let poisoner = std::thread::spawn(move || {
+        let _guard = shared.snapshot.lock().unwrap();
+        panic!("poison the snapshot lock");
+    });
+    assert!(poisoner.join().is_err());
+    assert!(core.shared.snapshot.is_poisoned());
+    let mut io = VecIo::new(
+        exchange([10, 7, 0, 2], 40200)
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (i as u64 * 10, p)),
+    );
+    assert_eq!(core.pump(&mut io), 4);
+    let published = core
+        .shared
+        .snapshot
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .totals()
+        .packets;
+    assert_eq!(published, 4);
 }

@@ -117,7 +117,7 @@ fn main() {
                     udp: loopback,
                     tcp: None,
                     upstream: origin.local_addr().expect("origin addr"),
-                    backend: svc::BackendChoice::Auto,
+                    backend: svc::BackendChoice::Epoll,
                 },
                 control: loopback,
                 core: svc::CoreConfig {

@@ -23,10 +23,10 @@
 //!                                --threads N uses the run-to-completion threaded
 //!                                plane with N shard workers (same output bytes)
 //! cay serve [--udp A] [--tcp A] [--control A] [--upstream A]
-//!           [--geo file] [--rollout file] [--backend auto|epoll|poll]
-//!                                run the live service: socket front end
-//!                                (frame-in-datagram; epoll+recvmmsg event loop
-//!                                on Linux, readiness-poll fallback elsewhere)
+//!           [--geo file] [--rollout file] [--backend epoll]
+//!                                run the live service (Linux-only): socket
+//!                                front end (frame-in-datagram; epoll+recvmmsg
+//!                                event loop)
 //!                                + operator control plane (/ready /status
 //!                                /metrics, POST /config hot reload,
 //!                                POST /shutdown graceful drain)
@@ -36,9 +36,9 @@
 //!                                  workers 1/2/8 (BENCH_dplane.json)
 //!                                + hot-path microbench (BENCH_hotpath.json;
 //!                                  allocations counted with --features count-allocs)
-//!                                + socket-backend bench (BENCH_svc.json: epoll
-//!                                  vs poll at recv-batch 1/8/64, syscalls/packet,
-//!                                  idle wakeups); --only pool|dplane|hotpath|svc
+//!                                + socket bench (BENCH_svc.json: epoll at
+//!                                  recv-batch 1/8/64, syscalls/packet, idle
+//!                                  wakeups); --only pool|dplane|hotpath|svc
 //!                                  runs one section
 //! ```
 //!
@@ -554,7 +554,7 @@ fn serve(args: &[String]) {
     let mut upstream = "127.0.0.1:7072".to_string();
     let mut geo_path: Option<String> = None;
     let mut rollout_path: Option<String> = None;
-    let mut backend = svc::BackendChoice::Auto;
+    let mut backend = svc::BackendChoice::Epoll;
     let mut i = 1;
     while i < args.len() {
         let value = || -> String {
@@ -573,7 +573,7 @@ fn serve(args: &[String]) {
             "--backend" => {
                 let v = value();
                 backend = svc::BackendChoice::parse(&v).unwrap_or_else(|| {
-                    eprintln!("serve: --backend {v}: expected auto, epoll, or poll");
+                    eprintln!("serve: --backend {v}: expected epoll");
                     std::process::exit(2);
                 });
             }
@@ -581,7 +581,7 @@ fn serve(args: &[String]) {
                 eprintln!(
                     "serve: unknown argument {other}\n\
                      usage: cay serve [--udp A] [--tcp A] [--control A] [--upstream A] \
-                     [--geo file] [--rollout file] [--backend auto|epoll|poll]"
+                     [--geo file] [--rollout file] [--backend epoll]"
                 );
                 std::process::exit(2);
             }
@@ -654,9 +654,8 @@ fn serve(args: &[String]) {
         eprintln!("serve: bind failed: {e}");
         std::process::exit(1);
     });
-    let backend_name = service.backend.name();
     eprintln!(
-        "serving: udp={} tcp={} control={} upstream={} backend={} ({} rollout rules)",
+        "serving: udp={} tcp={} control={} upstream={} backend=epoll ({} rollout rules)",
         service.udp_addr,
         service
             .tcp_addr
@@ -664,7 +663,6 @@ fn serve(args: &[String]) {
             .unwrap_or_else(|| "off".to_string()),
         service.control_addr,
         upstream,
-        backend_name,
         service.shared.rollout_rules(),
     );
     let report = service.join();
@@ -823,28 +821,23 @@ fn bench(args: &[String]) {
 }
 
 /// One `cay bench` svc cell: burst service rate of a [`svc::Bridge`]
-/// backend at one `recvmmsg` batch size.
+/// at one `recvmmsg` batch size.
 ///
 /// The driver pre-loads a volley of loopback datagrams (untimed — the
-/// sender's own kernel cost is the same for every backend and not what
-/// this bench contrasts). The timed region then replays one iteration
-/// of the `cay serve` data loop from its parked state: `wait` (epoll:
-/// returns on readiness; fallback: the historical 300µs sleep tick),
-/// then poll + pump until the volley has drained through an unchanged
+/// sender's own kernel cost is not what this bench measures). The
+/// timed region then replays one iteration of the `cay serve` data
+/// loop from its parked state: `wait` (returns on readiness), then
+/// poll + pump until the volley has drained through an unchanged
 /// `Dplane` whose strategy drops every frame. pps is therefore volley
 /// size over wake-plus-drain time — the quantity the event-driven loop
 /// actually improves — and syscalls/packet comes from the sys-shim
 /// counter over the same region.
-fn bench_svc_case(backend: svc::BackendChoice, batch: usize) -> String {
-    let kind_name = match backend {
-        svc::BackendChoice::Epoll => "epoll",
-        _ => "poll",
-    };
+fn bench_svc_case(batch: usize) -> String {
     let mut bridge = svc::Bridge::bind(&svc::BridgeConfig {
         udp: "127.0.0.1:0".parse().expect("loopback"),
         tcp: None,
         upstream: "127.0.0.1:9".parse().expect("discard"),
-        backend,
+        backend: svc::BackendChoice::Epoll,
     })
     .expect("bind bridge");
     bridge.set_recv_batch(batch);
@@ -852,9 +845,9 @@ fn bench_svc_case(backend: svc::BackendChoice, batch: usize) -> String {
     let driver = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind driver");
     // The plane applies a verified drop program to every frame: real
     // classify/flow/program work happens per packet, but no emissions,
-    // so egress cost (identical on both backends per-datagram) does not
-    // dilute the ingress contrast. BENCH_dplane covers program
-    // throughput; this section covers the socket layer.
+    // so egress cost does not dilute the ingress measurement.
+    // BENCH_dplane covers program throughput; this section covers the
+    // socket layer.
     let drop_all = std::sync::Arc::new(
         geneva::parse_strategy("[TCP:flags:PA]-drop-| \\/").expect("drop strategy parses"),
     );
@@ -896,7 +889,7 @@ fn bench_svc_case(backend: svc::BackendChoice, batch: usize) -> String {
         let deadline = Instant::now() + std::time::Duration::from_secs(2);
         let t0 = Instant::now();
         // The serve data loop parks in `wait` once a pump returns 0;
-        // this is the wakeup whose latency the backends contrast.
+        // this wakeup's latency is part of the measured service time.
         bridge.wait(250);
         while *done < *sent && Instant::now() < deadline {
             bridge.poll();
@@ -920,21 +913,21 @@ fn bench_svc_case(backend: svc::BackendChoice, batch: usize) -> String {
     let processed = (done - done0).max(1);
     let syscalls = bridge.stats.syscalls.saturating_sub(syscalls0);
     format!(
-        "{{\"backend\":\"{kind_name}\",\"batch\":{batch},\"frames\":{total},\"processed\":{processed},\"pps\":{:.0},\"syscalls_per_packet\":{:.4}}}",
+        "{{\"backend\":\"epoll\",\"batch\":{batch},\"frames\":{total},\"processed\":{processed},\"pps\":{:.0},\"syscalls_per_packet\":{:.4}}}",
         processed as f64 / secs,
         syscalls as f64 / processed as f64,
     )
 }
 
 /// Idle-loop wakeups per second: how often the data thread's idle wait
-/// returns with nothing to do (epoll: only the publish-cadence timeout
-/// fires; poll: the historical 300µs sleep tick spins ~3000×/s).
-fn bench_svc_idle(backend: svc::BackendChoice) -> f64 {
+/// returns with nothing to do (only the publish-cadence timeout should
+/// fire).
+fn bench_svc_idle() -> f64 {
     let mut bridge = svc::Bridge::bind(&svc::BridgeConfig {
         udp: "127.0.0.1:0".parse().expect("loopback"),
         tcp: None,
         upstream: "127.0.0.1:9".parse().expect("discard"),
-        backend,
+        backend: svc::BackendChoice::Epoll,
     })
     .expect("bind bridge");
     let window = std::time::Duration::from_millis(400);
@@ -949,35 +942,19 @@ fn bench_svc_idle(backend: svc::BackendChoice) -> f64 {
 }
 
 /// The `cay bench` svc section (BENCH_svc.json): loopback traffic
-/// through both socket backends at recv-batch sizes 1/8/64, reporting pps,
-/// syscalls/packet (CI gates epoll at batch 64 to ≤ 0.25), and the
-/// idle-loop wakeup rate that shows the event-driven loop making zero
-/// timed wakeups between publishes.
+/// through the socket bridge at recv-batch sizes 1/8/64, reporting pps,
+/// syscalls/packet (CI gates batch 64 to ≤ 0.25), and the idle-loop
+/// wakeup rate that shows the event-driven loop making zero timed
+/// wakeups between publishes.
 fn bench_svc() -> String {
-    let mut backends = vec![svc::BackendChoice::Poll];
-    if svc::sys::EPOLL_SUPPORTED {
-        backends.insert(0, svc::BackendChoice::Epoll);
-    }
-    let mut sections = Vec::new();
-    for backend in backends {
-        let name = match backend {
-            svc::BackendChoice::Epoll => "epoll",
-            _ => "poll",
-        };
-        let runs: Vec<String> = [1usize, 8, 64]
-            .iter()
-            .map(|&burst| bench_svc_case(backend, burst))
-            .collect();
-        let idle = bench_svc_idle(backend);
-        sections.push(format!(
-            "{{\"backend\":\"{name}\",\"idle_wakeups_per_sec\":{idle:.1},\"runs\":[{}]}}",
-            runs.join(",")
-        ));
-    }
+    let runs: Vec<String> = [1usize, 8, 64]
+        .iter()
+        .map(|&burst| bench_svc_case(burst))
+        .collect();
+    let idle = bench_svc_idle();
     format!(
-        "{{\"bench\":\"svc\",\"epoll_supported\":{},\"backends\":[{}]}}\n",
-        svc::sys::EPOLL_SUPPORTED,
-        sections.join(",")
+        "{{\"bench\":\"svc\",\"backends\":[{{\"backend\":\"epoll\",\"idle_wakeups_per_sec\":{idle:.1},\"runs\":[{}]}}]}}\n",
+        runs.join(",")
     )
 }
 
