@@ -1,4 +1,4 @@
-//! `dplane` — a compiled, sharded server-side evasion data plane.
+//! `dplane` — a compiled server-side evasion data plane.
 //!
 //! The paper's deployment story (§8) is an ESNI-style provider applying
 //! evasion strategies *server-side* for millions of unmodified clients,
@@ -9,20 +9,19 @@
 //! * [`Program`] — strategies canonicalized through `strata` and
 //!   lowered to flat, allocation-free instruction programs
 //!   ([`program`]).
-//! * [`FlowTable`] — a sharded, 4-tuple-keyed flow table with idle
-//!   timeout and capacity LRU, deterministic under any shard count
-//!   ([`flow`]).
+//! * [`FlowTable`] — a 4-tuple-keyed flow table with idle timeout and
+//!   a deterministic capacity LRU ([`flow`]).
 //! * [`PacketIo`] — the packet boundary, with in-sim
 //!   ([`sim::DplaneEndpoint`]) and pcap-replay ([`io::PcapReplay`])
 //!   backends.
-//! * [`MetricsReport`] — per-shard counters exported as JSON
+//! * [`MetricsReport`] — flow-table counters exported as JSON
 //!   (`cay dplane`).
 //!
 //! [`Dplane`] ties them together: classify a new flow's client (via any
 //! [`Classifier`], e.g. `harness::deploy::pick_for_client` behind a
 //! closure), compile-or-reuse its strategy, and rewrite its packets.
 //! Everything is deterministic: same packets in, same packets and same
-//! aggregate metrics out, for any shard count — byte-identical to the
+//! aggregate metrics out, for any worker count — byte-identical to the
 //! interpreter.
 
 pub mod flow;
@@ -34,7 +33,7 @@ pub mod sim;
 pub(crate) mod sync_shim;
 pub mod threaded;
 
-pub use flow::{shard_index, FlowConfig, FlowTable, Touch};
+pub use flow::{FlowConfig, FlowTable, Touch};
 pub use io::{PacketIo, PcapReplay, VecIo};
 pub use metrics::{MetricsReport, ShardMetrics};
 pub use program::{
@@ -115,12 +114,12 @@ impl Default for DplaneConfig {
 }
 
 /// The assembled data plane: classifier → program cache → flow table →
-/// compiled execution, with per-shard metrics.
+/// compiled execution, with flow-table metrics.
 ///
 /// The program cache is shared by reference and internally
 /// synchronized (see [`ProgramCache`]): a single-threaded plane owns
 /// its cache alone, while [`threaded::pump_threaded`] hands one cache
-/// to every shard worker so each canonical strategy compiles exactly
+/// to every worker so each canonical strategy compiles exactly
 /// once no matter which worker sees it first — keeping `cache_hits`/
 /// `cache_misses` identical to the single-threaded plane. Flow
 /// creation takes only the cache's read lock once a strategy is
@@ -241,17 +240,17 @@ impl<C: Classifier> Dplane<C> {
         self.flows.len()
     }
 
-    /// This plane's flow-table counters, in shard order (no
-    /// program-cache fields — the threaded plane assembles a combined
-    /// report from many workers sharing one cache).
-    pub fn flow_metrics(&self) -> Vec<ShardMetrics> {
+    /// This plane's flow-table counters (no program-cache fields — the
+    /// threaded plane assembles a combined report from many workers
+    /// sharing one cache).
+    pub fn flow_metrics(&self) -> ShardMetrics {
         self.flows.metrics()
     }
 
     /// Export all counters.
     pub fn metrics(&self) -> MetricsReport {
         MetricsReport {
-            shards: self.flows.metrics(),
+            shards: vec![self.flows.metrics()],
             flows_live: self.flows.len(),
             cache_hits: self.programs.hits(),
             cache_misses: self.programs.misses(),
@@ -262,10 +261,9 @@ impl<C: Classifier> Dplane<C> {
     }
 }
 
-/// Per-flow seed: splitmix64 over the base XOR an FNV-1a hash of the
-/// canonical flow key. Pure in (base, key), so eviction and return
-/// rebuild the same seed.
-fn flow_seed(base: u64, key: &FlowKey) -> u64 {
+/// FNV-1a of the canonical flow key: the input to per-flow seeds and to
+/// the threaded plane's worker placement.
+pub(crate) fn key_hash(key: &FlowKey) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -277,7 +275,13 @@ fn flow_seed(base: u64, key: &FlowKey) -> u64 {
     eat(&key.a.1.to_be_bytes());
     eat(&key.b.0);
     eat(&key.b.1.to_be_bytes());
-    let mut z = (base ^ hash).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    hash
+}
+
+/// Per-flow seed: splitmix64 over the base XOR [`key_hash`]. Pure in
+/// (base, key), so eviction and return rebuild the same seed.
+fn flow_seed(base: u64, key: &FlowKey) -> u64 {
+    let mut z = (base ^ key_hash(key)).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -1,18 +1,21 @@
-//! Per-shard counters and their JSON export.
+//! Flow-table counters and their JSON export.
 //!
-//! Shard counters are plain integers bumped on the packet path — no
-//! atomics, because a [`crate::FlowTable`] is driven from one thread
-//! and determinism is the contract. The *aggregate* over all shards is
-//! bit-identical for any shard count (asserted by proptest and by
-//! `cay bench`); the per-shard split is what changes.
+//! Counters are plain integers bumped on the packet path — no atomics,
+//! because a [`crate::FlowTable`] is driven from one thread and
+//! determinism is the contract. A single plane reports one shard; the
+//! threaded plane reports one per worker, and the *aggregate* over them
+//! is bit-identical for any worker count (asserted by the threaded
+//! equivalence tests and by `cay bench`); the per-worker split is what
+//! changes.
 
 use std::collections::BTreeMap;
+use strata::report::esc;
 use strata::CanonKey;
 
-/// Counters for one shard of the flow table.
+/// Counters for one flow table (a shard of the report).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ShardMetrics {
-    /// Packets routed through flows on this shard (both directions).
+    /// Packets routed through this table's flows (both directions).
     pub packets: u64,
     /// Flow entries created.
     pub flows_created: u64,
@@ -56,7 +59,8 @@ impl ShardMetrics {
 /// `json_field_set_is_stable` below.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// One entry per shard, in shard order.
+    /// One entry per flow table: one for a single plane, one per worker
+    /// (in worker order) for the threaded plane.
     pub shards: Vec<ShardMetrics>,
     /// Live flow count at export time.
     pub flows_live: usize,
@@ -111,7 +115,7 @@ impl MetricsReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{key}\":\"{}\"", escape_json(text)));
+            out.push_str(&format!("\"{key}\":\"{}\"", esc(text)));
         }
         out.push('}');
         // Service-path facts are presence-based: omitted entirely when
@@ -149,24 +153,6 @@ fn shard_json(out: &mut String, index: usize, m: &ShardMetrics) {
     out.push_str("}}");
 }
 
-/// Minimal JSON string escaping — strategy DSL text contains `\` and
-/// could contain `"` via replace values.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +182,7 @@ mod tests {
 
     #[test]
     fn json_escapes_dsl_backslashes() {
-        assert_eq!(escape_json("a\\/b \"q\""), "a\\\\/b \\\"q\\\"");
+        assert_eq!(esc("a\\/b \"q\""), "a\\\\/b \\\"q\\\"");
         let report = MetricsReport {
             shards: vec![ShardMetrics::default()],
             flows_live: 1,

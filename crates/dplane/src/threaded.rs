@@ -1,23 +1,23 @@
-//! Run-to-completion threaded data plane: per-shard worker threads fed
-//! by batched packet handoff over bounded SPSC rings.
+//! Run-to-completion threaded data plane: worker threads fed by
+//! batched packet handoff over bounded SPSC rings.
 //!
 //! ## Topology
 //!
 //! ```text
-//!            ┌────────────── worker 0: Dplane(1 shard) ──┐
-//! dispatcher ┼─ ring ──────► worker 1: Dplane(1 shard)   ├─► ordered merge
-//!            └────────────── worker k: Dplane(1 shard) ──┘
+//!            ┌────────────── worker 0: Dplane ──┐
+//! dispatcher ┼─ ring ──────► worker 1: Dplane   ├─► ordered merge
+//!            └────────────── worker k: Dplane ──┘
 //! ```
 //!
 //! The dispatcher (the calling thread) pulls packets from the
-//! [`PacketIo`] source, routes each by [`shard_index`]`(flow_key,
-//! workers)`, and hands them to workers in `Vec`-batches over bounded
-//! SPSC rings ([`crate::ring`]). Each worker owns a complete
-//! single-shard [`Dplane`] — flow table, scratch buffers, classifier —
-//! and runs every packet **to completion** (classify → compile-or-hit
-//! → rewrite → stage emissions) with no further cross-thread handoff;
-//! flow state is partitioned, never shared, so the packet path takes
-//! no locks. The only shared state is the [`ProgramCache`] (read-
+//! [`PacketIo`] source, routes each by an FNV-1a hash of its flow key
+//! modulo the worker count, and hands them to workers in `Vec`-batches
+//! over bounded SPSC rings ([`crate::ring`]). Placement is known only
+//! here. Each worker owns a complete [`Dplane`] — flow table, scratch
+//! buffers, classifier — and runs every packet **to completion**
+//! (classify → compile-or-hit → rewrite → stage emissions) with no
+//! further cross-thread handoff; flow state is partitioned, never
+//! shared, so the packet path takes no locks. The only shared state is the [`ProgramCache`] (read-
 //! mostly: flow creation takes a read lock, and the write lock is held
 //! only while compiling a strategy the cache has never seen, so each
 //! canonical strategy compiles exactly once process-wide) and the
@@ -38,18 +38,16 @@
 //! capacity LRU does not fire (each worker's table holds
 //! `capacity/workers` flows, so eviction *timing* can differ near
 //! capacity even though packet outputs stay identical thanks to pure
-//! re-classification). Routing equals single-threaded shard placement,
-//! so worker `w`'s metrics equal shard `w`'s metrics of a
-//! `shards = workers` single-threaded table — asserted by the threaded
-//! equivalence tests.
+//! re-classification): the report carries one shard entry per worker,
+//! and its totals equal the single-threaded plane's — asserted by the
+//! threaded equivalence tests.
 
-use crate::flow::shard_index;
 use crate::ring::{channel, Sender};
 use crate::{
-    Classifier, Dplane, DplaneConfig, FlowConfig, MetricsReport, PacketIo, ProgramCache,
+    key_hash, Classifier, Dplane, DplaneConfig, FlowConfig, MetricsReport, PacketIo, ProgramCache,
     ShardMetrics,
 };
-use packet::Packet;
+use packet::{FlowKey, Packet};
 use std::sync::{Arc, Mutex};
 
 /// One staged input packet: (global input index, receive time, packet).
@@ -60,7 +58,7 @@ type Batch = Vec<Staged>;
 /// Threaded-plane knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadedConfig {
-    /// Worker (shard) threads (clamped to ≥ 1).
+    /// Worker threads (clamped to ≥ 1).
     pub workers: usize,
     /// Packets per handoff batch: amortizes the ring's mutex/condvar
     /// cost across a whole batch.
@@ -81,7 +79,7 @@ impl Default for ThreadedConfig {
 }
 
 /// Drain a [`PacketIo`] source through `workers` run-to-completion
-/// shard threads. Packets whose IPv4 source is `server_addr` take the
+/// threads. Packets whose IPv4 source is `server_addr` take the
 /// outbound ruleset; everything else is inbound — the same split as
 /// [`Dplane::pump`], with bit-identical output (see module docs).
 ///
@@ -107,11 +105,10 @@ where
     let batch_size = tcfg.batch.max(1);
     let cache = Arc::new(ProgramCache::new());
 
-    // Each worker's table is single-shard with its slice of the global
-    // capacity: run-to-completion sharding — the worker *is* the shard.
+    // Each worker's table holds its slice of the global capacity: the
+    // worker *is* the shard.
     let worker_cfg = DplaneConfig {
         flow: FlowConfig {
-            shards: 1,
             capacity: cfg.flow.capacity.div_ceil(workers).max(1),
             idle_timeout: cfg.flow.idle_timeout,
         },
@@ -127,7 +124,7 @@ where
     let free: Mutex<Vec<Batch>> = Mutex::new(Vec::new());
 
     let mut processed = 0u64;
-    let mut worker_out: Vec<(Vec<Staged>, Vec<ShardMetrics>, usize)> = Vec::with_capacity(workers);
+    let mut worker_out: Vec<(Vec<Staged>, ShardMetrics, usize)> = Vec::with_capacity(workers);
 
     std::thread::scope(|scope| {
         let mut senders: Vec<Sender<Batch>> = Vec::with_capacity(workers);
@@ -157,8 +154,7 @@ where
             }));
         }
 
-        // Dispatch: route by the same FNV placement a single-threaded
-        // `shards = workers` table would use, batching per worker.
+        // Dispatch: route by flow, batching per worker.
         let take_buf = || {
             free.lock()
                 .expect("free list poisoned")
@@ -168,7 +164,7 @@ where
         let mut building: Vec<Batch> = (0..workers).map(|_| take_buf()).collect();
         let mut idx = 0u64;
         'dispatch: while let Some((now, pkt)) = io.recv() {
-            let w = shard_index(&pkt.flow_key(), workers);
+            let w = worker_of(&pkt.flow_key(), workers);
             building[w].push((idx, now, pkt));
             idx += 1;
             processed += 1;
@@ -200,7 +196,7 @@ where
     let mut merged: Vec<Staged> = Vec::new();
     for (staged, metrics, live) in worker_out {
         merged.extend(staged);
-        shards.extend(metrics);
+        shards.push(metrics);
         flows_live += live;
     }
     merged.sort_by_key(|&(idx, _, _)| idx);
@@ -219,6 +215,16 @@ where
         ..MetricsReport::default()
     };
     (processed, report)
+}
+
+/// The worker that owns `key`'s flow: FNV-1a of the canonical key
+/// modulo the worker count, so both directions of a flow land on one
+/// worker. (With one worker there is nothing to place — skip the hash.)
+fn worker_of(key: &FlowKey, workers: usize) -> usize {
+    if workers <= 1 {
+        return 0;
+    }
+    usize::try_from(key_hash(key) % workers as u64).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -275,13 +281,7 @@ mod tests {
 
         let mut single_io = VecIo::new(packets.clone());
         let mut dp = Dplane::new(
-            DplaneConfig {
-                flow: FlowConfig {
-                    shards: 4,
-                    ..FlowConfig::default()
-                },
-                ..DplaneConfig::default()
-            },
+            DplaneConfig::default(),
             FixedClassifier(Some(StdArc::clone(&strategy))),
         );
         let single_n = dp.pump(&mut single_io, SERVER);
@@ -324,13 +324,7 @@ mod tests {
 
         let mut single_io = VecIo::new(packets.clone());
         let mut dp = Dplane::new(
-            DplaneConfig {
-                flow: FlowConfig {
-                    shards: workers,
-                    ..FlowConfig::default()
-                },
-                ..DplaneConfig::default()
-            },
+            DplaneConfig::default(),
             FixedClassifier(Some(StdArc::clone(&strategy))),
         );
         dp.pump(&mut single_io, SERVER);
@@ -349,15 +343,15 @@ mod tests {
             |_| FixedClassifier(Some(StdArc::clone(&strategy))),
         );
 
-        // Same placement → worker w's counters are shard w's counters,
-        // and the cache compiled each strategy exactly once despite
+        // One shard entry per worker, folding to the single table's
+        // totals; the cache compiled each strategy exactly once despite
         // four workers racing to create flows.
-        assert_eq!(threaded.shards, single.shards);
+        assert_eq!(threaded.shards.len(), workers);
+        assert_eq!(threaded.totals(), single.totals());
         assert_eq!(threaded.flows_live, single.flows_live);
         assert_eq!(threaded.cache_misses, single.cache_misses);
         assert_eq!(threaded.cache_hits, single.cache_hits);
         assert_eq!(threaded.verify_rejects, single.verify_rejects);
-        assert_eq!(threaded.totals(), single.totals());
-        assert_eq!(threaded.to_json(), single.to_json());
+        assert_eq!(threaded.strategies, single.strategies);
     }
 }

@@ -1,12 +1,13 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test code
-//! Property tests for the sharded flow table's determinism contract:
+//! Property tests for the flow table's determinism contract:
 //!
 //! 1. the live flow count never exceeds the configured capacity;
 //! 2. an evicted flow that returns re-classifies to exactly the state
 //!    it lost — same program, same seed, same rewritten packets;
-//! 3. the shard count changes *where* flows live and nothing else:
-//!    emitted packets and aggregate metrics are bit-identical for any
-//!    shard count.
+//! 3. an idle flow that returns is recreated with the same state.
+//!
+//! That flow *placement* never changes outputs is the threaded plane's
+//! property, covered over 1–8 workers in `threaded_equiv.rs`.
 
 use dplane::{Classifier, Dplane, DplaneConfig, FlowConfig, SeedMode};
 use geneva::library;
@@ -79,47 +80,13 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     })
 }
 
-fn run_workload(
-    events: &[Event],
-    shards: usize,
-    capacity: usize,
-) -> (Vec<Vec<u8>>, Dplane<ByAddr>) {
-    let cfg = DplaneConfig {
-        flow: FlowConfig {
-            shards,
-            capacity,
-            idle_timeout: 50_000,
-        },
-        seed: SeedMode::PerFlow(0xF10),
-        unchecked: false,
-    };
-    let mut dp = Dplane::new(cfg, ByAddr);
-    let mut now = 0u64;
-    let mut emitted = Vec::new();
-    let mut out = Vec::new();
-    for &e in events {
-        now += e.dt;
-        out.clear();
-        let pkt = packet_for(e);
-        if e.outbound {
-            dp.process_outbound(&pkt, now, &mut out);
-        } else {
-            dp.process_inbound(&pkt, now, &mut out);
-        }
-        for p in &out {
-            emitted.push(p.serialize_raw());
-        }
-    }
-    (emitted, dp)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn live_flows_never_exceed_capacity(events in arb_events(), capacity in 1usize..8) {
         let cfg = DplaneConfig {
-            flow: FlowConfig { shards: 3, capacity, idle_timeout: 50_000 },
+            flow: FlowConfig { capacity, idle_timeout: 50_000 },
             seed: SeedMode::PerFlow(0xF10),
             unchecked: false,
         };
@@ -149,7 +116,7 @@ proptest! {
         let capacity = 2;
         let probe = packet_for(Event { client: 1, outbound: true, dt: 0 });
         let cfg = DplaneConfig {
-            flow: FlowConfig { shards: 2, capacity, idle_timeout: u64::MAX },
+            flow: FlowConfig { capacity, idle_timeout: u64::MAX },
             seed: SeedMode::PerFlow(0xF10),
             unchecked: false,
         };
@@ -170,23 +137,6 @@ proptest! {
         prop_assert_eq!(first_bytes, again_bytes,
             "rewrites changed after eviction + return");
     }
-
-    #[test]
-    fn shard_count_never_changes_outputs(events in arb_events(), capacity in 1usize..12) {
-        let (base_out, base_dp) = run_workload(&events, 1, capacity);
-        let base_totals = base_dp.metrics().totals();
-        let base_report = base_dp.metrics();
-        for shards in [2usize, 3, 8] {
-            let (out, dp) = run_workload(&events, shards, capacity);
-            prop_assert_eq!(&out, &base_out, "emitted packets changed at {} shards", shards);
-            let report = dp.metrics();
-            prop_assert_eq!(&report.totals(), &base_totals,
-                "aggregate metrics changed at {} shards", shards);
-            prop_assert_eq!(&report.strategies, &base_report.strategies);
-            prop_assert_eq!(report.flows_live, base_report.flows_live);
-            prop_assert_eq!(report.cache_misses, base_report.cache_misses);
-        }
-    }
 }
 
 /// Idle expiry is part of the same purity contract: a flow that times
@@ -196,7 +146,6 @@ proptest! {
 fn idle_flows_expire_and_rebuild() {
     let cfg = DplaneConfig {
         flow: FlowConfig {
-            shards: 2,
             capacity: 64,
             idle_timeout: 1_000,
         },

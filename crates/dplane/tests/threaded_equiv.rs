@@ -186,13 +186,7 @@ proptest! {
         };
 
         let mut single_io = VecIo::new(packets.clone());
-        let mut dp = Dplane::new(
-            DplaneConfig {
-                flow: FlowConfig { shards: workers, ..FlowConfig::default() },
-                ..dcfg
-            },
-            FixedClassifier(Some(Arc::clone(&strategy))),
-        );
+        let mut dp = Dplane::new(dcfg, FixedClassifier(Some(Arc::clone(&strategy))));
         let single_n = dp.pump(&mut single_io, SERVER);
         let single = dp.metrics();
 
@@ -211,9 +205,14 @@ proptest! {
             prop_assert_eq!(tw, ts);
             prop_assert_eq!(pw.serialize_raw(), ps.serialize_raw());
         }
-        // Same shard placement ⇒ identical per-shard metrics, shared
-        // cache ⇒ identical compile counters: equal reports render
-        // equal JSON bytes.
-        prop_assert_eq!(threaded.to_json(), single.to_json());
+        // One shard entry per worker, folding to the single table's
+        // totals; the shared cache ⇒ identical compile counters.
+        prop_assert_eq!(threaded.shards.len(), workers);
+        prop_assert_eq!(threaded.totals(), single.totals());
+        prop_assert_eq!(threaded.flows_live, single.flows_live);
+        prop_assert_eq!(threaded.cache_hits, single.cache_hits);
+        prop_assert_eq!(threaded.cache_misses, single.cache_misses);
+        prop_assert_eq!(threaded.verify_rejects, single.verify_rejects);
+        prop_assert_eq!(&threaded.strategies, &single.strategies);
     }
 }

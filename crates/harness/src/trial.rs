@@ -239,10 +239,11 @@ enum Box_ {
 
 /// The server behind either wire interface: the per-trial interpreter
 /// (`StrategicEndpoint`) or the compiled data plane (`DplaneEndpoint`).
-/// One enum keeps `run_trial`'s simulation code monomorphic.
+/// One enum keeps `run_trial`'s simulation code monomorphic; the
+/// larger data-plane variant is boxed.
 enum ServerWrap {
     Interpreter(StrategicEndpoint<ServerHost<Box<dyn ServerApp>>>),
-    Dplane(DplaneEndpoint<ServerHost<Box<dyn ServerApp>>, FixedClassifier>),
+    Dplane(Box<DplaneEndpoint<ServerHost<Box<dyn ServerApp>>, FixedClassifier>>),
 }
 
 impl ServerWrap {
@@ -326,7 +327,7 @@ pub fn run_trial_scratch(cfg: &TrialConfig, scratch: &mut TrialScratch) -> Trial
         ),
     );
     let server = if cfg.route_via_dplane {
-        ServerWrap::Dplane(DplaneEndpoint::new(
+        ServerWrap::Dplane(Box::new(DplaneEndpoint::new(
             server_host,
             Dplane::new(
                 DplaneConfig {
@@ -335,7 +336,7 @@ pub fn run_trial_scratch(cfg: &TrialConfig, scratch: &mut TrialScratch) -> Trial
                 },
                 FixedClassifier(Some(Arc::clone(&cfg.strategy))),
             ),
-        ))
+        )))
     } else {
         ServerWrap::Interpreter(StrategicEndpoint::new(
             server_host,

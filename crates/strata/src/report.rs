@@ -175,7 +175,9 @@ pub fn render_verdict_matrix(entries: &[ReportEntry]) -> String {
     out
 }
 
-fn esc(s: &str) -> String {
+/// Minimal JSON string escaping — strategy DSL text contains `\` and
+/// could contain `"` via replace values.
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -15,7 +15,7 @@
 //! * [`censor`] — behavioral models of the GFW, Airtel, Iran, Kazakhstan.
 //! * [`evolve`] — the genetic algorithm discovering strategies.
 //! * [`strata`] — static analysis over Geneva strategies.
-//! * [`dplane`] — the compiled, sharded server-side evasion data plane.
+//! * [`dplane`] — the compiled server-side evasion data plane.
 //! * [`svc`] — live-traffic socket front end + operator control plane.
 //! * [`harness`] — experiment drivers reproducing every table & figure.
 
