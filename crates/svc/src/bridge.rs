@@ -26,7 +26,12 @@
 //! ingress drains in ≤[`RECV_BATCH`]-frame `recvmmsg` batches into a
 //! preallocated arena (no per-datagram allocation in the I/O layer),
 //! UDP egress leaves in `sendmmsg` batches, and a full socket buffer
-//! arms `EPOLLOUT` instead of sleeping. Idle waits block in
+//! arms `EPOLLOUT` instead of sleeping. Within a batch, each run of
+//! consecutive frames to one destination that share one length (the
+//! last may be shorter) goes out as one `UDP_SEGMENT` message, which
+//! the kernel cuts back into the identical datagrams in order; if the
+//! kernel refuses segmentation, the bridge resends plain datagrams and
+//! stops segmenting for good. Idle waits block in
 //! `epoll_wait` until traffic or a [`crate::sys::Waker`] kick. The
 //! bridge is Linux-only.
 //!
@@ -133,6 +138,13 @@ pub struct BridgeStats {
     /// Egress attempts that hit a full socket buffer and were deferred
     /// to `EPOLLOUT`.
     pub egress_backpressure_events: u64,
+    /// Segmented (`UDP_SEGMENT`) `sendmmsg` entries the kernel took.
+    pub gso_sends: u64,
+    /// Datagrams inside those segmented entries.
+    pub gso_frames: u64,
+    /// 1 once the kernel refused segmentation and the bridge fell back
+    /// to one message per datagram; 0 otherwise.
+    pub gso_fallbacks: u64,
 }
 
 impl BridgeStats {
@@ -207,8 +219,11 @@ pub struct Bridge {
     ep: sys::Epoll,
     /// `recvmmsg` buffers, allocated once at bind.
     arena: sys::RecvArena,
-    /// `sendmmsg` pointer vectors, reused every batch.
+    /// `sendmmsg` vectors, reused every batch.
     scratch: sys::SendScratch,
+    /// Send same-destination runs as `UDP_SEGMENT` messages; cleared
+    /// for good when the kernel refuses one.
+    segment: bool,
     events: Vec<sys::Event>,
     /// EPOLLOUT currently armed on the UDP socket.
     udp_out_armed: bool,
@@ -260,6 +275,7 @@ impl Bridge {
             ep,
             arena: sys::RecvArena::new(RECV_BATCH, MAX_FRAME),
             scratch: sys::SendScratch::new(),
+            segment: true,
             events: Vec::with_capacity(RECV_BATCH),
             udp_out_armed: false,
             stats: BridgeStats::default(),
@@ -558,8 +574,9 @@ impl Bridge {
         }
     }
 
-    /// sendmmsg the UDP egress queue; a refused batch arms EPOLLOUT so
-    /// the event loop resumes exactly when the socket drains.
+    /// sendmmsg the UDP egress queue, up to [`RECV_BATCH`] frames per
+    /// call in segmented runs; a refused batch arms EPOLLOUT so the
+    /// event loop resumes exactly when the socket drains.
     fn flush_udp(&mut self) {
         while !self.udp_out.is_empty() {
             // Drop non-IPv4 destinations (the socket is bound IPv4-only,
@@ -573,36 +590,48 @@ impl Bridge {
             if self.udp_out.is_empty() {
                 break;
             }
-            let batch: Vec<(std::net::SocketAddrV4, &[u8])> = self
-                .udp_out
-                .iter()
-                .take(RECV_BATCH)
-                .map_while(|(addr, bytes)| match addr {
-                    SocketAddr::V4(v4) => Some((*v4, bytes.as_slice())),
-                    SocketAddr::V6(_) => None,
-                })
-                .collect();
-            let want = batch.len();
-            let sent =
-                match sys::send_batch(self.udp.as_raw_fd(), &mut self.scratch, &batch, &self.ctr) {
-                    Ok(n) => n,
-                    Err(_) => {
-                        // Hard send error: drop the head frame and
-                        // keep going.
-                        if let Some((_, bytes)) = self.udp_out.pop_front() {
-                            self.stats.unroutable += 1;
-                            self.recycle(bytes);
-                        }
-                        continue;
+            let window =
+                self.udp_out
+                    .iter()
+                    .take(RECV_BATCH)
+                    .map_while(|(addr, bytes)| match addr {
+                        SocketAddr::V4(v4) => Some((*v4, bytes.as_slice())),
+                        SocketAddr::V6(_) => None,
+                    });
+            let sent = match sys::send_frames(
+                self.udp.as_raw_fd(),
+                &mut self.scratch,
+                window,
+                self.segment,
+                &self.ctr,
+            ) {
+                Ok(sent) => sent,
+                Err(sys::SendError::SegmentationRefused) => {
+                    // Nothing was sent: resend the same frames as plain
+                    // datagrams, and never segment on this socket again.
+                    self.segment = false;
+                    self.stats.gso_fallbacks = 1;
+                    continue;
+                }
+                Err(sys::SendError::Io(_)) => {
+                    // Hard send error: drop the head frame and keep
+                    // going.
+                    if let Some((_, bytes)) = self.udp_out.pop_front() {
+                        self.stats.unroutable += 1;
+                        self.recycle(bytes);
                     }
-                };
-            self.stats.frames_out += sent as u64;
-            for _ in 0..sent {
+                    continue;
+                }
+            };
+            self.stats.frames_out += sent.frames as u64;
+            self.stats.gso_sends += sent.gso_sends;
+            self.stats.gso_frames += sent.gso_frames;
+            for _ in 0..sent.frames {
                 if let Some((_, bytes)) = self.udp_out.pop_front() {
                     self.recycle(bytes);
                 }
             }
-            if sent < want {
+            if sent.frames < sent.offered {
                 // Socket buffer full: defer the rest to EPOLLOUT.
                 self.stats.egress_backpressure_events += 1;
                 if !self.udp_out_armed {
@@ -875,6 +904,123 @@ mod tests {
         assert!(bridge.stats.recv_batches <= 32);
         let histogram_total: u64 = bridge.stats.frames_per_batch.iter().sum();
         assert_eq!(histogram_total, bridge.stats.recv_batches);
+    }
+
+    /// Frame `idx` of an egress sequence, `len` bytes on the wire
+    /// (40 = bare IPv4 + TCP headers), told apart by its sequence number.
+    fn sized(dst: [u8; 4], idx: u32, len: usize) -> Packet {
+        let mut p = Packet::tcp(
+            [93, 184, 216, 34],
+            80,
+            dst,
+            40000,
+            TcpFlags::PSH_ACK,
+            idx,
+            1,
+            vec![u8::try_from(idx % 251).unwrap(); len - 40],
+        );
+        p.finalize();
+        p
+    }
+
+    /// Bind a bridge whose upstream is receiver `a`, teach it that
+    /// inner address `B_INNER` lives behind receiver `b`, and return
+    /// all three.
+    fn two_receivers() -> (Bridge, UdpSocket, UdpSocket) {
+        let a = UdpSocket::bind(loopback()).unwrap();
+        let b = UdpSocket::bind(loopback()).unwrap();
+        for r in [&a, &b] {
+            r.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+                .unwrap();
+        }
+        let mut bridge = bind(false, a.local_addr().unwrap());
+        let hello = frame(B_INNER, [93, 184, 216, 34]);
+        b.send_to(&hello.serialize_raw(), bridge.udp_addr().unwrap())
+            .unwrap();
+        for _ in 0..200 {
+            if bridge.poll() > 0 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(bridge.recv().is_some(), "route-teaching frame arrived");
+        (bridge, a, b)
+    }
+
+    const B_INNER: [u8; 4] = [10, 9, 0, 2];
+
+    /// Emit `frames` (`true` = toward receiver `b`) in chunks small
+    /// enough for the receivers' socket buffers, and require each
+    /// receiver to get exactly its frames, byte-identical and in emit
+    /// order.
+    fn deliver_in_order(
+        bridge: &mut Bridge,
+        a: &UdpSocket,
+        b: &UdpSocket,
+        frames: &[(bool, Packet)],
+    ) {
+        let mut buf = [0u8; MAX_FRAME];
+        for chunk in frames.chunks(40) {
+            for (_, pkt) in chunk {
+                bridge.emit(0, pkt.clone());
+            }
+            bridge.flush();
+            for _ in 0..200 {
+                if bridge.pending_out() == 0 {
+                    break;
+                }
+                bridge.poll();
+            }
+            assert_eq!(bridge.pending_out(), 0, "egress drained");
+            for (to_b, pkt) in chunk {
+                let rx = if *to_b { b } else { a };
+                let (n, _) = rx.recv_from(&mut buf).unwrap();
+                assert_eq!(&buf[..n], pkt.serialize_raw().as_slice());
+            }
+        }
+        for rx in [a, b] {
+            rx.set_nonblocking(true).unwrap();
+            assert!(rx.recv_from(&mut buf).is_err(), "no duplicate datagrams");
+        }
+    }
+
+    /// 240 frames of mixed 40- and 1,500-byte sizes, alternating between
+    /// the two receivers in runs of 8 whose sizes change every 4.
+    fn mixed_runs() -> Vec<(bool, Packet)> {
+        (0..240u32)
+            .map(|i| {
+                let to_b = (i / 8) % 2 == 1;
+                let len = if (i / 4) % 3 == 0 { 1500 } else { 40 };
+                let dst = if to_b { B_INNER } else { [10, 9, 0, 1] };
+                (to_b, sized(dst, i, len))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn segmented_egress_delivers_every_datagram_in_order() {
+        let (mut bridge, a, b) = two_receivers();
+        let frames = mixed_runs();
+        deliver_in_order(&mut bridge, &a, &b, &frames);
+        assert_eq!(bridge.stats.frames_out, frames.len() as u64);
+        assert_eq!(bridge.stats.unroutable, 0);
+        assert!(bridge.stats.gso_sends > 0, "{:?}", bridge.stats);
+        assert!(bridge.stats.gso_frames > bridge.stats.gso_sends);
+        assert_eq!(bridge.stats.gso_fallbacks, 0);
+    }
+
+    #[test]
+    fn refused_segmentation_falls_back_without_loss() {
+        let (mut bridge, a, b) = two_receivers();
+        // Linux refuses UDP_SEGMENT (EINVAL) on a socket that sends
+        // without checksums.
+        sys::ffi::set_no_check(bridge.udp.as_raw_fd()).unwrap();
+        let frames = mixed_runs();
+        deliver_in_order(&mut bridge, &a, &b, &frames);
+        assert_eq!(bridge.stats.frames_out, frames.len() as u64);
+        assert_eq!(bridge.stats.unroutable, 0);
+        assert_eq!(bridge.stats.gso_fallbacks, 1);
+        assert_eq!(bridge.stats.gso_sends, 0);
     }
 
     #[test]

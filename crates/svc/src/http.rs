@@ -259,7 +259,8 @@ fn status_json(shared: &SvcShared) -> String {
          \"bridge\":{{\"backend\":\"epoll\",\"frames_in\":{},\"frames_out\":{},\
          \"parse_errors\":{},\"unroutable\":{},\"tcp_accepted\":{},\
          \"syscalls\":{},\"recv_batches\":{},\"frames_per_batch\":[{}],\
-         \"egress_backpressure_events\":{}}}}}\n",
+         \"egress_backpressure_events\":{},\"gso_sends\":{},\"gso_frames\":{},\
+         \"gso_fallbacks\":{}}}}}\n",
         shared.draining.load(Ordering::Relaxed),
         shared.packets.load(Ordering::Relaxed),
         pps_milli / 1000,
@@ -277,6 +278,9 @@ fn status_json(shared: &SvcShared) -> String {
         bridge.recv_batches,
         fpb.join(","),
         bridge.egress_backpressure_events,
+        bridge.gso_sends,
+        bridge.gso_frames,
+        bridge.gso_fallbacks,
     )
 }
 
@@ -345,6 +349,21 @@ pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String 
         "cay_bridge_syscalls_total",
         "Syscalls made by the socket bridge.",
         bridge.syscalls,
+    );
+    counter(
+        "cay_bridge_gso_sends_total",
+        "Segmented (UDP_SEGMENT) egress messages the kernel took.",
+        bridge.gso_sends,
+    );
+    counter(
+        "cay_bridge_gso_frames_total",
+        "Egress datagrams sent inside segmented messages.",
+        bridge.gso_frames,
+    );
+    counter(
+        "cay_bridge_gso_fallbacks_total",
+        "Times the kernel refused segmentation and egress fell back to one message per datagram.",
+        bridge.gso_fallbacks,
     );
     counter(
         "cay_bridge_recv_batches_total",

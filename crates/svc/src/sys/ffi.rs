@@ -38,6 +38,15 @@ const EFD_NONBLOCK: i32 = 0x800;
 const EFD_CLOEXEC: i32 = 0x8_0000;
 const MSG_DONTWAIT: i32 = 0x40;
 const AF_INET: u16 = 2;
+const SOL_UDP: i32 = 17;
+const UDP_SEGMENT: i32 = 103;
+#[cfg(test)]
+const SOL_SOCKET: i32 = 1;
+#[cfg(test)]
+const SO_NO_CHECK: i32 = 11;
+const EIO: i32 = 5;
+const EINVAL: i32 = 22;
+const ENOPROTOOPT: i32 = 92;
 
 /// `struct iovec` — one scatter/gather segment.
 #[repr(C)]
@@ -131,13 +140,60 @@ impl MMsgHdr {
 
 // SAFETY: these are plain-old-data syscall descriptors. The pointers
 // inside are dead between calls — [`super::recv_batch`] /
-// [`super::send_batch`] rebuild every one from live borrows of the
+// [`super::SendScratch`] rebuild every one from live borrows of the
 // owning arena immediately before the (synchronous) syscall that
 // consumes them — so moving the containing arena across threads moves
 // no aliased state.
 unsafe impl Send for IoVec {}
 unsafe impl Send for MsgHdr {}
 unsafe impl Send for MMsgHdr {}
+
+/// Whether `e` is how a kernel refuses to segment a `UDP_SEGMENT`
+/// message: `EINVAL` (segment plus headers over the route MTU,
+/// `SO_NO_CHECK`, or a pre-4.18 kernel), `EIO` (xfrm route, no checksum
+/// offload) or `ENOPROTOOPT`.
+pub fn refuses_segmentation(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(EIO | EINVAL | ENOPROTOOPT))
+}
+
+/// `CMSG_ALIGN`: control-message parts are padded to `size_t`.
+const fn cmsg_align(len: usize) -> usize {
+    let a = std::mem::size_of::<usize>();
+    (len + a - 1) & !(a - 1)
+}
+
+/// `sizeof(struct cmsghdr)`: `size_t cmsg_len; int cmsg_level; int
+/// cmsg_type;` (glibc layout).
+const CMSG_HDR: usize = cmsg_align(std::mem::size_of::<usize>() + 8);
+
+/// `CMSG_LEN(sizeof(u16))` — the exact `cmsg_len` the kernel demands of
+/// a `UDP_SEGMENT` message (anything else is `EINVAL`).
+pub const SEGMENT_CMSG_LEN: usize = CMSG_HDR + 2;
+
+/// `CMSG_SPACE(sizeof(u16))` — the `msg_controllen` of a message that
+/// carries one `UDP_SEGMENT` control message.
+pub const SEGMENT_CMSG_SPACE: usize = CMSG_HDR + cmsg_align(2);
+
+/// One `SOL_UDP`/`UDP_SEGMENT` control message as the kernel reads it:
+/// a `cmsghdr`, the `u16` segment size, and padding to `CMSG_SPACE`.
+/// Built from plain bytes, so constructing one is safe code.
+#[repr(C, align(8))]
+#[derive(Clone, Copy)]
+pub struct SegmentCmsg(pub [u8; SEGMENT_CMSG_SPACE]);
+
+impl SegmentCmsg {
+    /// The control message telling the kernel to cut the message's
+    /// payload into `gso_size`-byte datagrams (the last may be short).
+    pub fn new(gso_size: u16) -> SegmentCmsg {
+        let mut b = [0u8; SEGMENT_CMSG_SPACE];
+        let w = std::mem::size_of::<usize>();
+        b[..w].copy_from_slice(&SEGMENT_CMSG_LEN.to_ne_bytes());
+        b[w..w + 4].copy_from_slice(&SOL_UDP.to_ne_bytes());
+        b[w + 4..w + 8].copy_from_slice(&UDP_SEGMENT.to_ne_bytes());
+        b[CMSG_HDR..CMSG_HDR + 2].copy_from_slice(&gso_size.to_ne_bytes());
+        SegmentCmsg(b)
+    }
+}
 
 /// `struct epoll_event`. Packed on x86-64 (kernel ABI quirk).
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
@@ -164,6 +220,11 @@ extern "C" {
         timeout: *mut core::ffi::c_void,
     ) -> i32;
     fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
+}
+
+#[cfg(test)]
+extern "C" {
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
 }
 
 fn rc_to_result(rc: i32) -> io::Result<i32> {
@@ -260,9 +321,22 @@ pub fn recvmmsg_nb(fd: RawFd, msgs: &mut [MMsgHdr]) -> io::Result<usize> {
     rc_to_result(rc).map(|n| n as usize)
 }
 
-/// Nonblocking `sendmmsg`; same pointer contract as [`recvmmsg_nb`].
+/// Set `SO_NO_CHECK` (send UDP without checksums) on `fd`, a socket
+/// state under which Linux refuses `UDP_SEGMENT` with `EINVAL`.
+#[cfg(test)]
+pub fn set_no_check(fd: RawFd) -> io::Result<()> {
+    let one: i32 = 1;
+    // SAFETY: `one` is a live 4-byte int for the synchronous call, and
+    // the length passed is its size.
+    rc_to_result(unsafe { setsockopt(fd, SOL_SOCKET, SO_NO_CHECK, &one, 4) }).map(|_| ())
+}
+
+/// Nonblocking `sendmmsg`; same pointer contract as [`recvmmsg_nb`],
+/// control-message buffers included ([`super::SendScratch`] rebuilds
+/// them alongside the names and iovecs).
 /// Returns how many messages were fully sent (datagram sockets send
-/// each message atomically).
+/// each message atomically — a `UDP_SEGMENT` message included: it is
+/// one buffer in the kernel until segmentation).
 pub fn sendmmsg_nb(fd: RawFd, msgs: &mut [MMsgHdr]) -> io::Result<usize> {
     let vlen = u32::try_from(msgs.len()).unwrap_or(u32::MAX);
     // SAFETY: as for recvmmsg_nb — pointers live, call synchronous.

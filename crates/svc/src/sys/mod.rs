@@ -12,10 +12,11 @@
 //! * [`Epoll`] / [`EventFd`] — level-triggered readiness and a
 //!   cross-thread wakeup fd.
 //! * [`RecvArena`] / [`SendScratch`] — preallocated `recvmmsg` /
-//!   `sendmmsg` vectors: buffers, sockaddrs, iovecs, and mmsghdrs are
-//!   allocated once at bind time and recycled every batch, so the
+//!   `sendmmsg` vectors: buffers, sockaddrs, iovecs, control messages
+//!   and mmsghdrs are allocated once and recycled every batch, so the
 //!   steady-state datagram path performs no per-packet allocation in
-//!   the I/O layer.
+//!   the I/O layer. [`send_frames`] sends each same-destination run of
+//!   equal-length frames as one `UDP_SEGMENT` (UDP GSO) message.
 //! * [`Waker`] — a clonable handle over an [`EventFd`] that wakes a
 //!   blocked epoll loop.
 
@@ -301,12 +302,39 @@ pub fn recv_batch(fd: RawFd, arena: &mut RecvArena, ctr: &SyscallCounter) -> io:
     }
 }
 
-/// Reusable `sendmmsg` pointer vectors (the payload bytes themselves
-/// belong to the caller's egress queue).
+/// Most datagrams one `UDP_SEGMENT` message carries (the kernel's
+/// `UDP_MAX_SEGMENTS` floor).
+pub const GSO_MAX_SEGMENTS: usize = 64;
+
+/// Most payload bytes one `UDP_SEGMENT` message carries: a 65,535-byte
+/// IPv4 datagram less its 20-byte IP and 8-byte UDP headers.
+pub const GSO_MAX_BYTES: usize = 65_507;
+
+/// One staged `sendmmsg` entry: `segments` consecutive payloads to one
+/// destination, starting at iovec `first`.
+#[derive(Clone, Copy)]
+struct Entry {
+    dst: SocketAddrV4,
+    first: usize,
+    segments: usize,
+    /// Payload bytes across all segments.
+    bytes: usize,
+    /// Every segment's length but the last, which may be shorter.
+    seg_size: usize,
+    /// A shorter segment ended the run; nothing more may join it.
+    closed: bool,
+}
+
+/// Reusable `sendmmsg` vectors (the payload bytes themselves belong to
+/// the caller's egress queue). Both [`send_batch`] and [`send_frames`]
+/// stage through [`SendScratch::stage`], so the vectors keep their
+/// capacity and steady-state egress allocates nothing.
 #[derive(Default)]
 pub struct SendScratch {
+    entries: Vec<Entry>,
     addrs: Vec<ffi::SockAddrIn>,
     iovs: Vec<ffi::IoVec>,
+    cmsgs: Vec<ffi::SegmentCmsg>,
     hdrs: Vec<ffi::MMsgHdr>,
 }
 
@@ -314,13 +342,102 @@ impl SendScratch {
     pub fn new() -> SendScratch {
         SendScratch::default()
     }
+
+    /// Lay `frames` out as `sendmmsg` entries, in order. Without
+    /// `segment` every frame is its own entry. With it, each run of
+    /// consecutive frames to one destination that share one length
+    /// (the last may be shorter) becomes one entry carrying an iovec
+    /// per frame and a `UDP_SEGMENT` control message, capped at
+    /// [`GSO_MAX_SEGMENTS`] frames and [`GSO_MAX_BYTES`] bytes; a
+    /// one-frame run carries no control message.
+    fn stage<'a>(
+        &mut self,
+        frames: impl IntoIterator<Item = (SocketAddrV4, &'a [u8])>,
+        segment: bool,
+    ) {
+        self.entries.clear();
+        self.iovs.clear();
+        for (dst, payload) in frames {
+            let len = payload.len();
+            let joined = segment
+                && self.entries.last_mut().is_some_and(|run| {
+                    let fits = !run.closed
+                        && run.dst == dst
+                        && len > 0
+                        && len <= run.seg_size
+                        && run.segments < GSO_MAX_SEGMENTS
+                        && run.bytes + len <= GSO_MAX_BYTES;
+                    if fits {
+                        run.segments += 1;
+                        run.bytes += len;
+                        run.closed = len < run.seg_size;
+                    }
+                    fits
+                });
+            if !joined {
+                self.entries.push(Entry {
+                    dst,
+                    first: self.iovs.len(),
+                    segments: 1,
+                    bytes: len,
+                    seg_size: len,
+                    closed: false,
+                });
+            }
+            self.iovs.push(ffi::IoVec {
+                base: payload.as_ptr().cast_mut(),
+                len,
+            });
+        }
+        // Pointers last: every vector they point into is full by now,
+        // so none of them moves before the syscall.
+        self.addrs.clear();
+        self.cmsgs.clear();
+        self.hdrs.clear();
+        for run in &self.entries {
+            self.addrs.push(ffi::SockAddrIn::from_v4(&run.dst));
+            self.cmsgs.push(ffi::SegmentCmsg::new(
+                u16::try_from(run.seg_size).unwrap_or(u16::MAX),
+            ));
+        }
+        for (i, run) in self.entries.iter().enumerate() {
+            let (control, controllen) = if run.segments > 1 {
+                (self.cmsgs[i].0.as_mut_ptr(), ffi::SEGMENT_CMSG_SPACE)
+            } else {
+                (std::ptr::null_mut(), 0)
+            };
+            self.hdrs.push(ffi::MMsgHdr {
+                hdr: ffi::MsgHdr {
+                    name: &mut self.addrs[i],
+                    namelen: u32::try_from(std::mem::size_of::<ffi::SockAddrIn>()).unwrap_or(16),
+                    iov: &mut self.iovs[run.first],
+                    iovlen: run.segments,
+                    control,
+                    controllen,
+                    flags: 0,
+                },
+                len: 0,
+            });
+        }
+    }
+
+    /// `sendmmsg` the staged entries; returns how many the kernel took
+    /// (`WouldBlock` folded into `Ok(0)`).
+    fn send(&mut self, fd: RawFd, ctr: &SyscallCounter) -> io::Result<usize> {
+        ctr.bump();
+        match ffi::sendmmsg_nb(fd, &mut self.hdrs) {
+            Ok(n) => Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// Send up to one batch of `(destination, payload)` datagrams with a
-/// single `sendmmsg`. Returns how many of the first `msgs.len()`
-/// messages were sent; `Ok(0)` with a non-empty input means the socket
-/// buffer is full (`WouldBlock` folded in, so callers treat it as
-/// backpressure rather than an error).
+/// single `sendmmsg`, one message per datagram. Returns how many of the
+/// first `msgs.len()` messages were sent; `Ok(0)` with a non-empty
+/// input means the socket buffer is full (`WouldBlock` folded in, so
+/// callers treat it as backpressure rather than an error).
 pub fn send_batch(
     fd: RawFd,
     scratch: &mut SendScratch,
@@ -330,34 +447,169 @@ pub fn send_batch(
     if msgs.is_empty() {
         return Ok(0);
     }
-    scratch.addrs.clear();
-    scratch.iovs.clear();
-    scratch.hdrs.clear();
-    for (dst, payload) in msgs {
-        scratch.addrs.push(ffi::SockAddrIn::from_v4(dst));
-        scratch.iovs.push(ffi::IoVec {
-            base: payload.as_ptr().cast_mut(),
-            len: payload.len(),
-        });
+    scratch.stage(msgs.iter().copied(), false);
+    scratch.send(fd, ctr)
+}
+
+/// What one [`send_frames`] call handed to the kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sent {
+    /// Frames offered.
+    pub offered: usize,
+    /// Frames the kernel took — always a prefix of those offered.
+    pub frames: usize,
+    /// Segmented messages among those taken.
+    pub gso_sends: u64,
+    /// Datagrams inside those segmented messages.
+    pub gso_frames: u64,
+}
+
+/// Why a [`send_frames`] call sent nothing.
+#[derive(Debug)]
+pub enum SendError {
+    /// The kernel refused to segment the first message (see
+    /// [`ffi::refuses_segmentation`]); resending unsegmented may work.
+    SegmentationRefused,
+    /// Any other error on the first message.
+    Io(io::Error),
+}
+
+/// Send `frames` in order with a single `sendmmsg`, each run of
+/// same-destination, same-length frames as one `UDP_SEGMENT` message
+/// when `segment` is set (see [`SendScratch::stage`]); the kernel cuts
+/// each back into the identical datagrams. `WouldBlock` is
+/// `Ok` with fewer frames taken than offered.
+pub fn send_frames<'a>(
+    fd: RawFd,
+    scratch: &mut SendScratch,
+    frames: impl IntoIterator<Item = (SocketAddrV4, &'a [u8])>,
+    segment: bool,
+    ctr: &SyscallCounter,
+) -> Result<Sent, SendError> {
+    scratch.stage(frames, segment);
+    let mut sent = Sent {
+        offered: scratch.iovs.len(),
+        ..Sent::default()
+    };
+    let Some(head) = scratch.entries.first().copied() else {
+        return Ok(sent);
+    };
+    match scratch.send(fd, ctr) {
+        Ok(n) => {
+            for run in &scratch.entries[..n] {
+                sent.frames += run.segments;
+                if run.segments > 1 {
+                    sent.gso_sends += 1;
+                    sent.gso_frames += run.segments as u64;
+                }
+            }
+            Ok(sent)
+        }
+        Err(e) if head.segments > 1 && ffi::refuses_segmentation(&e) => {
+            Err(SendError::SegmentationRefused)
+        }
+        Err(e) => Err(SendError::Io(e)),
     }
-    for i in 0..msgs.len() {
-        scratch.hdrs.push(ffi::MMsgHdr {
-            hdr: ffi::MsgHdr {
-                name: &mut scratch.addrs[i],
-                namelen: u32::try_from(std::mem::size_of::<ffi::SockAddrIn>()).unwrap_or(16),
-                iov: &mut scratch.iovs[i],
-                iovlen: 1,
-                control: std::ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
-            len: 0,
-        });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn dst(port: u16) -> SocketAddrV4 {
+        SocketAddrV4::new([127, 0, 0, 1].into(), port)
     }
-    ctr.bump();
-    match ffi::sendmmsg_nb(fd, &mut scratch.hdrs) {
-        Ok(n) => Ok(n),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
-        Err(e) => Err(e),
+
+    /// Stage `(destination port, length)` frames with segmentation on
+    /// and return the scratch plus each entry as `(port, segment
+    /// lengths)`.
+    fn stage(frames: &[(u16, usize)]) -> (SendScratch, Vec<(u16, Vec<usize>)>) {
+        let buf = vec![0u8; 65_535];
+        let mut scratch = SendScratch::new();
+        scratch.stage(frames.iter().map(|&(p, len)| (dst(p), &buf[..len])), true);
+        let runs = scratch
+            .entries
+            .iter()
+            .map(|run| {
+                let lens = scratch.iovs[run.first..run.first + run.segments]
+                    .iter()
+                    .map(|iov| iov.len)
+                    .collect();
+                (run.dst.port(), lens)
+            })
+            .collect();
+        (scratch, runs)
+    }
+
+    #[test]
+    fn a_shorter_frame_closes_its_run() {
+        let (_, runs) = stage(&[(1, 100), (1, 100), (1, 60), (1, 60), (1, 60)]);
+        assert_eq!(runs, [(1, vec![100, 100, 60]), (1, vec![60, 60])]);
+    }
+
+    #[test]
+    fn a_longer_frame_starts_a_new_run() {
+        let (_, runs) = stage(&[(1, 60), (1, 60), (1, 100), (1, 100)]);
+        assert_eq!(runs, [(1, vec![60, 60]), (1, vec![100, 100])]);
+    }
+
+    #[test]
+    fn runs_stop_at_the_segment_cap() {
+        let (_, runs) = stage(&[(1, 40); 130]);
+        let sizes: Vec<usize> = runs.iter().map(|(_, lens)| lens.len()).collect();
+        assert_eq!(sizes, [GSO_MAX_SEGMENTS, GSO_MAX_SEGMENTS, 2]);
+    }
+
+    #[test]
+    fn runs_stop_at_the_byte_cap() {
+        // 43 × 1,500 = 64,500 fits under 65,507; a 44th would not.
+        let (_, runs) = stage(&[(1, 1500); 50]);
+        let sizes: Vec<usize> = runs.iter().map(|(_, lens)| lens.len()).collect();
+        assert_eq!(sizes, [43, 7]);
+        // Exactly at the cap joins; one byte over does not.
+        let (_, runs) = stage(&[(1, 32_753), (1, 32_753), (1, 1)]);
+        assert_eq!(runs, [(1, vec![32_753, 32_753, 1])]);
+        let (_, runs) = stage(&[(1, 32_753), (1, 32_753), (1, 2)]);
+        assert_eq!(runs, [(1, vec![32_753, 32_753]), (1, vec![2])]);
+    }
+
+    #[test]
+    fn same_ip_on_another_port_is_another_destination() {
+        let (_, runs) = stage(&[(1, 40), (2, 40), (2, 40), (1, 40)]);
+        assert_eq!(runs, [(1, vec![40]), (2, vec![40, 40]), (1, vec![40])]);
+    }
+
+    #[test]
+    fn only_multi_frame_runs_carry_a_segment_cmsg() {
+        let (scratch, runs) = stage(&[(1, 40), (2, 1500), (2, 1500), (2, 700)]);
+        assert_eq!(runs, [(1, vec![40]), (2, vec![1500, 1500, 700])]);
+        let (single, run) = (&scratch.hdrs[0].hdr, &scratch.hdrs[1].hdr);
+        assert!(single.control.is_null());
+        assert_eq!((single.controllen, single.iovlen), (0, 1));
+        assert_eq!((run.controllen, run.iovlen), (ffi::SEGMENT_CMSG_SPACE, 3));
+        assert_eq!(run.control, scratch.cmsgs[1].0.as_ptr().cast_mut());
+        // cmsghdr: cmsg_len == CMSG_LEN(2) exactly, SOL_UDP, UDP_SEGMENT,
+        // then the segment size.
+        let cmsg = scratch.cmsgs[1].0;
+        let w = std::mem::size_of::<usize>();
+        let len = usize::from_ne_bytes(cmsg[..w].try_into().unwrap_or_default());
+        assert_eq!(len, ffi::SEGMENT_CMSG_LEN);
+        assert_eq!(cmsg[w..w + 4], 17i32.to_ne_bytes());
+        assert_eq!(cmsg[w + 4..w + 8], 103i32.to_ne_bytes());
+        assert_eq!(cmsg[len - 2..len], 1500u16.to_ne_bytes());
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!((ffi::SEGMENT_CMSG_LEN, ffi::SEGMENT_CMSG_SPACE), (18, 24));
+    }
+
+    #[test]
+    fn unsegmented_staging_is_one_message_per_datagram() {
+        let buf = [7u8; 64];
+        let msgs = [(dst(1), &buf[..]); 5];
+        let mut scratch = SendScratch::new();
+        scratch.stage(msgs.iter().copied(), false);
+        assert_eq!(scratch.hdrs.len(), 5);
+        for hdr in &scratch.hdrs {
+            assert_eq!((hdr.hdr.iovlen, hdr.hdr.controllen), (1, 0));
+        }
     }
 }

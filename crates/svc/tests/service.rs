@@ -393,6 +393,10 @@ fn tcp_backpressure_preserves_order_without_loss() {
     // the kernel socket buffers can hold, so the bridge must queue.
     const FRAMES: usize = 1024;
     const PAYLOAD: usize = 16 * 1024;
+    // Frames sent but not yet counted in by the bridge, at most: a few
+    // 16 KiB datagrams fit the UDP receive buffer with room to spare.
+    const IN_FLIGHT: u64 = 4;
+    let mut entered = json_u64(&get(service.control_addr, "/status").1, "frames_in");
     let mut expected: Vec<Vec<u8>> = Vec::with_capacity(FRAMES);
     for i in 0..FRAMES {
         let mut payload = vec![u8::try_from(i % 251).unwrap(); PAYLOAD];
@@ -410,11 +414,16 @@ fn tcp_backpressure_preserves_order_without_loss() {
         let raw = pkt.serialize_raw();
         origin.send_to(&raw, service.udp_addr).unwrap();
         expected.push(raw);
-        // Pace the UDP ingress so the bridge's receive buffer (not
-        // under test here) never overflows; the TCP egress side
-        // still backs up because nothing is reading.
-        if i % 2 == 1 {
-            std::thread::sleep(Duration::from_millis(1));
+        // Pace the UDP ingress against the bridge's own `frames_in`, so
+        // its receive buffer (not under test here) never overflows,
+        // however long the data thread is descheduled; the TCP egress
+        // side still backs up because nothing is reading.
+        let sent = u64::try_from(i).unwrap() + 2; // the SYN plus frames 0..=i
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sent - entered > IN_FLIGHT {
+            assert!(Instant::now() < deadline, "ingress stalled at frame {i}");
+            std::thread::sleep(Duration::from_micros(200));
+            entered = json_u64(&get(service.control_addr, "/status").1, "frames_in");
         }
     }
 
