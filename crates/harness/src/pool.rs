@@ -258,8 +258,14 @@ impl Throughput {
     /// Render as one JSON object (hand-rolled; the workspace is
     /// offline and carries no serde).
     pub fn to_json(&self) -> String {
+        format!("{{{}}}", self.json_fields())
+    }
+
+    /// The members of [`Throughput::to_json`]'s object without the
+    /// braces, so a caller can append its own members.
+    pub fn json_fields(&self) -> String {
         format!(
-            "{{\"label\":\"{}\",\"trials\":{},\"wall_ms\":{:.1},\"trials_per_sec\":{:.1},\"workers\":{}}}",
+            "\"label\":\"{}\",\"trials\":{},\"wall_ms\":{:.1},\"trials_per_sec\":{:.1},\"workers\":{}",
             self.label.replace('"', "'"),
             self.trials,
             self.wall_ms,

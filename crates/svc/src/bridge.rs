@@ -282,12 +282,6 @@ impl Bridge {
         })
     }
 
-    /// Resize the `recvmmsg` arena (frames per batch). `cay bench` uses
-    /// this to sweep batch sizes.
-    pub fn set_recv_batch(&mut self, batch: usize) {
-        self.arena = sys::RecvArena::new(batch.clamp(1, RECV_BATCH), MAX_FRAME);
-    }
-
     /// Attach a wakeup handle: [`crate::sys::Waker::wake`] from any
     /// thread interrupts a blocked [`Bridge::wait`]. Fails when the
     /// waker has no eventfd.
@@ -437,74 +431,77 @@ impl Bridge {
         }
     }
 
-    /// Drain one connection's read side, then extract frames. Closing
-    /// the stream drops its fd, which also deregisters it from any
-    /// epoll watching it.
+    /// Drain one connection's read side, extracting frames after every
+    /// read so the reassembly buffer never holds more than one read
+    /// plus one partial frame. Closing the stream drops its fd, which
+    /// also deregisters it from any epoll watching it.
     fn read_conn(&mut self, idx: usize) -> usize {
-        let mut closed = false;
-        {
+        let mut queued = 0;
+        loop {
             let Bridge {
                 conns, buf, ctr, ..
             } = self;
             let conn = &mut conns[idx];
-            if let Some(stream) = &mut conn.stream {
-                loop {
-                    ctr.bump();
-                    match stream.read(buf) {
-                        Ok(0) => {
-                            closed = true;
-                            break;
-                        }
-                        Ok(n) => conn.rd.extend_from_slice(&buf[..n]),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => {
-                            closed = true;
-                            break;
-                        }
-                    }
+            let Some(stream) = &mut conn.stream else {
+                break;
+            };
+            ctr.bump();
+            match stream.read(buf) {
+                Ok(0) => {}
+                Ok(n) => {
+                    conn.rd.extend_from_slice(&buf[..n]);
+                    queued += self.extract_frames(idx);
+                    continue;
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => {}
             }
-        }
-        let queued = self.extract_frames(idx);
-        if closed {
+            // End of stream or a read error.
             self.conns[idx].stream = None;
+            break;
         }
         queued
     }
 
-    /// Pull complete `len:u32be ++ frame` records out of a connection's
-    /// reassembly buffer.
+    /// Queue every complete `len:u32be ++ frame` record in a
+    /// connection's reassembly buffer, parsing in place behind a
+    /// cursor, then drop the consumed bytes with one drain.
     fn extract_frames(&mut self, idx: usize) -> usize {
+        let now = self.now_us();
+        let Bridge {
+            conns,
+            peers,
+            queue,
+            stats,
+            ..
+        } = self;
+        let conn = &mut conns[idx];
         let mut queued = 0;
-        loop {
-            let rd = &self.conns[idx].rd;
-            if rd.len() < 4 {
-                break;
-            }
-            let len = u32::from_be_bytes([rd[0], rd[1], rd[2], rd[3]]) as usize;
+        let mut pos = 0;
+        while let Some(&[a, b, c, d]) = conn.rd.get(pos..pos + 4) {
+            let len = u32::from_be_bytes([a, b, c, d]) as usize;
             if len == 0 || len > MAX_FRAME {
                 // Corrupt framing: poison the connection.
-                self.stats.parse_errors += 1;
-                self.conns[idx].rd.clear();
-                self.conns[idx].stream = None;
-                break;
+                stats.parse_errors += 1;
+                conn.rd.clear();
+                conn.stream = None;
+                return queued;
             }
-            if rd.len() < 4 + len {
+            let Some(frame) = conn.rd.get(pos + 4..pos + 4 + len) else {
                 break;
-            }
-            let frame: Vec<u8> = rd[4..4 + len].to_vec();
-            self.conns[idx].rd.drain(..4 + len);
-            let now = self.now_us();
-            match Packet::parse(&frame) {
+            };
+            match Packet::parse(frame) {
                 Ok(pkt) => {
-                    self.peers.insert(pkt.ip.src, Peer::Tcp(idx));
-                    self.queue.push_back((now, pkt));
-                    self.stats.frames_in += 1;
+                    peers.insert(pkt.ip.src, Peer::Tcp(idx));
+                    queue.push_back((now, pkt));
+                    stats.frames_in += 1;
                     queued += 1;
                 }
-                Err(_) => self.stats.parse_errors += 1,
+                Err(_) => stats.parse_errors += 1,
             }
+            pos += 4 + len;
         }
+        conn.rd.drain(..pos);
         queued
     }
 
@@ -864,6 +861,40 @@ mod tests {
     }
 
     #[test]
+    fn tcp_ingress_drains_a_large_burst_in_order() {
+        let mut bridge = bind(true, loopback());
+        let mut client = TcpStream::connect(bridge.tcp_addr().unwrap()).unwrap();
+        const FRAMES: u32 = 80_000;
+        let mut msg = Vec::new();
+        for i in 0..FRAMES {
+            let bytes = sized([10, 91, 0, 9], i, 40).serialize_raw();
+            msg.extend_from_slice(&(u32::try_from(bytes.len()).unwrap()).to_be_bytes());
+            msg.extend_from_slice(&bytes);
+        }
+        // One write; the thread keeps the kernel's buffers full while
+        // the bridge reads.
+        let writer = std::thread::spawn(move || client.write_all(&msg).map(|()| client));
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        let mut next = 0;
+        while next < FRAMES && Instant::now() < deadline {
+            bridge.wait(100);
+            while let Some((_, pkt)) = bridge.recv() {
+                assert_eq!(pkt.tcp_header().unwrap().seq, next, "frames out of order");
+                next += 1;
+            }
+        }
+        assert_eq!(next, FRAMES);
+        // Frames are extracted after every read, so the reassembly
+        // buffer never held more than one read plus one partial frame
+        // (its capacity is its high-water mark, rounded up by growth).
+        let high_water = bridge.conns[0].rd.capacity();
+        assert!(high_water <= 4 * (4 + MAX_FRAME), "{high_water} bytes");
+        assert_eq!(bridge.stats.frames_in, u64::from(FRAMES));
+        assert_eq!(bridge.stats.parse_errors, 0);
+        let _client = writer.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn garbage_datagrams_count_parse_errors() {
         let mut bridge = bind(false, loopback());
         let baddr = bridge.udp_addr().unwrap();
@@ -904,6 +935,48 @@ mod tests {
         assert!(bridge.stats.recv_batches <= 32);
         let histogram_total: u64 = bridge.stats.frames_per_batch.iter().sum();
         assert_eq!(histogram_total, bridge.stats.recv_batches);
+    }
+
+    /// The ingress batching bound: a 192-datagram volley already
+    /// queued in the kernel drains in `recvmmsg` batches at no more
+    /// than 0.25 syscalls per frame.
+    #[test]
+    fn batched_ingress_makes_at_most_a_quarter_syscall_per_frame() {
+        const VOLLEY: usize = 192;
+        let mut bridge = bind(false, loopback());
+        let baddr = bridge.udp_addr().unwrap();
+        let client = UdpSocket::bind(loopback()).unwrap();
+        let bytes = frame([10, 7, 0, 2], [93, 184, 216, 34]).serialize_raw();
+        for _ in 0..VOLLEY {
+            client.send_to(&bytes, baddr).unwrap();
+        }
+        let syscalls0 = bridge.ctr.get();
+        let mut queued = bridge.wait(250);
+        for _ in 0..100 {
+            if queued >= VOLLEY {
+                break;
+            }
+            queued += bridge.poll();
+        }
+        assert_eq!(queued, VOLLEY, "every frame arrived");
+        let per_frame = (bridge.stats.syscalls - syscalls0) as f64 / VOLLEY as f64;
+        assert!(per_frame <= 0.25, "{per_frame} syscalls per frame");
+    }
+
+    /// An idle bridge's wait returns only on its timeout (the data
+    /// loop's 250 ms publish cadence): at most 50 wakeups per second.
+    #[test]
+    fn idle_wait_makes_at_most_50_wakeups_per_second() {
+        let mut bridge = bind(false, loopback());
+        let window = std::time::Duration::from_millis(400);
+        let t0 = Instant::now();
+        let mut wakeups = 0u32;
+        while t0.elapsed() < window {
+            bridge.wait(250);
+            wakeups += 1;
+        }
+        let rate = f64::from(wakeups) / t0.elapsed().as_secs_f64();
+        assert!(rate <= 50.0, "idle loop woke {rate:.1} times per second");
     }
 
     /// Frame `idx` of an egress sequence, `len` bytes on the wire

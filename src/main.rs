@@ -32,17 +32,17 @@
 //!                                + operator control plane (/ready /status
 //!                                /metrics, POST /config hot reload,
 //!                                POST /shutdown graceful drain)
-//! cay bench [trials] [out.json]  pool scaling bench (jobs 1/2/8 speedups vs the
-//!                                same-invocation jobs=1 baseline, scaling_factor;
-//!                                scaling fields are null below 2 cores)
-//!                                + compiled-data-plane bench incl. threaded
-//!                                  workers 1/2/8 (BENCH_dplane.json)
-//!                                + hot-path microbench (BENCH_hotpath.json;
-//!                                  allocations counted with --features count-allocs)
-//!                                + socket bench (BENCH_svc.json: epoll at
-//!                                  recv-batch 1/8/64, syscalls/packet, idle
-//!                                  wakeups); --only pool|dplane|hotpath|svc
-//!                                  runs one section
+//! cay bench [trials] [pool.json] [dplane.json] [--only pool|dplane]
+//!                                pool scaling bench (BENCH_pool.json: jobs 1/2/8
+//!                                speedups vs the same-invocation jobs=1 baseline,
+//!                                scaling_factor; scaling fields are null below
+//!                                2 cores)
+//!                                + compiled-data-plane bench (BENCH_dplane.json:
+//!                                  interpreter vs compiled, steady-state plane,
+//!                                  threaded workers 1/2/8); allocations counted
+//!                                  with --features count-allocs; --only runs
+//!                                  one section. `cay serve` is measured end to
+//!                                  end by the ledger (bash ledger/run.sh)
 //! ```
 //!
 //! Every subcommand accepts `--jobs N` to pin the trial-executor
@@ -656,43 +656,50 @@ fn serve(args: &[String]) {
     println!("{}", report.to_json());
 }
 
-/// `cay bench [trials] [pool.json] [dplane.json] [hotpath.json]
-/// [svc.json] [--only pool|dplane|hotpath|svc]` — the bench suite.
-/// `--only` runs a single section (CI uses it to keep the svc gate's
-/// wall-clock independent of the trial-pool benches).
+/// `cay bench [trials] [pool.json] [dplane.json] [--only pool|dplane]`
+/// — the bench suite. `--only` runs a single section. Every argument
+/// is checked before any section runs; a bad one exits 2.
 fn bench(args: &[String]) {
-    let mut only: Option<String> = None;
+    let mut only: Option<&str> = None;
     let mut positionals: Vec<&String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--only" {
-            match args.get(i + 1) {
-                Some(v) if matches!(v.as_str(), "pool" | "dplane" | "hotpath" | "svc") => {
-                    only = Some(v.clone());
-                }
-                other => {
-                    eprintln!(
-                        "bench: --only {}: expected pool, dplane, hotpath, or svc",
-                        other.map(String::as_str).unwrap_or("")
-                    );
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else {
-            positionals.push(&args[i]);
-            i += 1;
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if arg != "--only" {
+            positionals.push(arg);
+            continue;
+        }
+        match rest.next().map(String::as_str) {
+            Some(section @ ("pool" | "dplane")) => only = Some(section),
+            Some("hotpath") => bench_usage(
+                "--only hotpath: the hot-path runs and allocation counts are part of \
+                 the dplane section (BENCH_dplane.json); use --only dplane",
+            ),
+            Some("svc") => bench_usage(
+                "--only svc: the socket bench is gone; the ledger (bash ledger/run.sh) \
+                 measures cay serve end to end",
+            ),
+            other => bench_usage(&format!(
+                "--only {}: expected pool or dplane",
+                other.unwrap_or("")
+            )),
         }
     }
-    let section_on = |name: &str| only.as_deref().is_none_or(|o| o == name);
+    if let Some(extra) = positionals.get(3) {
+        bench_usage(&format!("unexpected argument {extra}"));
+    }
+    let section_on = |name: &str| only.is_none_or(|o| o == name);
     // 2000 trials per run amortizes pool spin-up and thread hand-off so
     // the jobs=N numbers reflect steady-state scaling rather than
     // startup costs (300 finished in under 10 ms and measured mostly
     // overhead).
-    let trials_per_run: u32 = positionals
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000);
+    let trials_per_run: u32 = match positionals.first() {
+        None => 2000,
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| bench_usage(&format!("{s} is not a trial count (at least 1)"))),
+    };
     let path_at = |idx: usize, default: &'static str| -> String {
         positionals
             .get(idx)
@@ -740,10 +747,9 @@ fn bench(args: &[String]) {
                 Some(base) if t.wall_ms > 0.0 => base.wall_ms / t.wall_ms,
                 _ => 1.0,
             };
-            let j = t.to_json();
             let j = format!(
-                "{},\"allocs_per_trial\":{},\"speedup\":{}}}",
-                &j[..j.len() - 1],
+                "{{{},\"allocs_per_trial\":{},\"speedup\":{}}}",
+                t.json_fields(),
                 allocs_per_trial,
                 scaling_json(speedup, effective_cores)
             );
@@ -792,158 +798,14 @@ fn bench(args: &[String]) {
         std::fs::write(&dplane_path, &json).expect("write dplane bench json");
         println!("wrote {dplane_path}");
     }
-
-    if section_on("hotpath") {
-        let hotpath_path = path_at(3, "BENCH_hotpath.json");
-        let json = bench_hotpath();
-        std::fs::write(&hotpath_path, &json).expect("write hotpath bench json");
-        println!("wrote {hotpath_path}");
-    }
-
-    if section_on("svc") {
-        let svc_path = path_at(4, "BENCH_svc.json");
-        let json = bench_svc();
-        std::fs::write(&svc_path, &json).expect("write svc bench json");
-        println!("wrote {svc_path}");
-    }
 }
 
-/// One `cay bench` svc cell: burst service rate of a [`svc::Bridge`]
-/// at one `recvmmsg` batch size.
-///
-/// The driver pre-loads a volley of loopback datagrams (untimed — the
-/// sender's own kernel cost is not what this bench measures). The
-/// timed region then replays one iteration of the `cay serve` data
-/// loop from its parked state: `wait` (returns on readiness), then
-/// poll + pump until the volley has drained through an unchanged
-/// `Dplane` whose strategy drops every frame. pps is therefore volley
-/// size over wake-plus-drain time — the quantity the event-driven loop
-/// actually improves — and syscalls/packet comes from the sys-shim
-/// counter over the same region.
-fn bench_svc_case(batch: usize) -> String {
-    let mut bridge = svc::Bridge::bind(&svc::BridgeConfig {
-        udp: "127.0.0.1:0".parse().expect("loopback"),
-        tcp: None,
-        upstream: "127.0.0.1:9".parse().expect("discard"),
-        backend: svc::BackendChoice::Epoll,
-    })
-    .expect("bind bridge");
-    bridge.set_recv_batch(batch);
-    let baddr = bridge.udp_addr().expect("bridge addr");
-    let driver = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind driver");
-    // The plane applies a verified drop program to every frame: real
-    // classify/flow/program work happens per packet, but no emissions,
-    // so egress cost does not dilute the ingress measurement.
-    // BENCH_dplane covers program throughput; this section covers the
-    // socket layer.
-    let drop_all = std::sync::Arc::new(
-        geneva::parse_strategy("[TCP:flags:PA]-drop-| \\/").expect("drop strategy parses"),
+/// Report a `cay bench` usage error and exit 2.
+fn bench_usage(msg: &str) -> ! {
+    eprintln!(
+        "bench: {msg}\nusage: cay bench [trials] [pool.json] [dplane.json] [--only pool|dplane]"
     );
-    let mut dp = Dplane::new(
-        DplaneConfig {
-            seed: SeedMode::PerFlow(0x0D1A),
-            ..DplaneConfig::default()
-        },
-        move |_: &Packet| Some(drop_all.clone()),
-    );
-    // Outbound (server→client) data frame, so the drop program governs.
-    let mut frame = Packet::tcp(
-        SERVER_ADDR,
-        80,
-        [10, 7, 0, 2],
-        40000,
-        TcpFlags::PSH_ACK,
-        7,
-        1,
-        vec![],
-    );
-    frame.finalize();
-    let bytes = frame.serialize_raw();
-
-    // A volley comfortably below the default UDP receive buffer, so
-    // the kernel never drops and every cell drains the same workload.
-    const VOLLEY: usize = 192;
-    let mut sent = 0u64;
-    let mut done = 0u64;
-    let round = |bridge: &mut svc::Bridge,
-                 dp: &mut Dplane<_>,
-                 sent: &mut u64,
-                 done: &mut u64|
-     -> std::time::Duration {
-        for _ in 0..VOLLEY {
-            driver.send_to(&bytes, baddr).expect("loopback send");
-        }
-        *sent += VOLLEY as u64;
-        let deadline = Instant::now() + std::time::Duration::from_secs(2);
-        let t0 = Instant::now();
-        // The serve data loop parks in `wait` once a pump returns 0;
-        // this wakeup's latency is part of the measured service time.
-        bridge.wait(250);
-        while *done < *sent && Instant::now() < deadline {
-            bridge.poll();
-            *done += dp.pump(bridge, SERVER_ADDR);
-        }
-        t0.elapsed()
-    };
-
-    // Warm-up volley: flow admitted, program compiled, arena touched.
-    round(&mut bridge, &mut dp, &mut sent, &mut done);
-
-    let rounds = 16_384 / VOLLEY;
-    let total = (rounds * VOLLEY) as u64;
-    let syscalls0 = bridge.stats.syscalls;
-    let done0 = done;
-    let mut drained = std::time::Duration::ZERO;
-    for _ in 0..rounds {
-        drained += round(&mut bridge, &mut dp, &mut sent, &mut done);
-    }
-    let secs = drained.as_secs_f64().max(1e-9);
-    let processed = (done - done0).max(1);
-    let syscalls = bridge.stats.syscalls.saturating_sub(syscalls0);
-    format!(
-        "{{\"backend\":\"epoll\",\"batch\":{batch},\"frames\":{total},\"processed\":{processed},\"pps\":{:.0},\"syscalls_per_packet\":{:.4}}}",
-        processed as f64 / secs,
-        syscalls as f64 / processed as f64,
-    )
-}
-
-/// Idle-loop wakeups per second: how often the data thread's idle wait
-/// returns with nothing to do (only the publish-cadence timeout should
-/// fire).
-fn bench_svc_idle() -> f64 {
-    let mut bridge = svc::Bridge::bind(&svc::BridgeConfig {
-        udp: "127.0.0.1:0".parse().expect("loopback"),
-        tcp: None,
-        upstream: "127.0.0.1:9".parse().expect("discard"),
-        backend: svc::BackendChoice::Epoll,
-    })
-    .expect("bind bridge");
-    let window = std::time::Duration::from_millis(400);
-    let t0 = Instant::now();
-    let mut wakeups = 0u64;
-    while t0.elapsed() < window {
-        // The data loop's idle wait: 250ms publish cadence.
-        bridge.wait(250);
-        wakeups += 1;
-    }
-    wakeups as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// The `cay bench` svc section (BENCH_svc.json): loopback traffic
-/// through the socket bridge at recv-batch sizes 1/8/64, reporting pps,
-/// syscalls/packet (CI gates batch 64 to ≤ 0.25), and the idle-loop
-/// wakeup rate that shows the event-driven loop making zero timed
-/// wakeups between publishes.
-fn bench_svc() -> String {
-    let runs: Vec<String> = [1usize, 8, 64]
-        .iter()
-        .map(|&burst| bench_svc_case(burst))
-        .collect();
-    let idle = bench_svc_idle();
-    format!(
-        "{{\"bench\":\"svc\",\"backends\":[{{\"backend\":\"epoll\",\"idle_wakeups_per_sec\":{idle:.1},\"runs\":[{}]}}]}}\n",
-        runs.join(",")
-    )
+    std::process::exit(2);
 }
 
 /// §8-style per-client classification for the data plane: locate the
@@ -1017,14 +879,27 @@ fn dplane_workload(flows: u32, responses: u32) -> Vec<(u64, Packet)> {
     pkts
 }
 
-/// The compiled-data-plane bench behind `cay bench`: per-packet
-/// strategy application (interpreter vs. compiled program), then the
-/// assembled single-threaded data plane over the same workload, then
-/// the run-to-completion threaded plane at 1/2/8 workers — asserting
-/// the aggregate metrics are bit-identical across every worker count
-/// before reporting packets/second and the threaded `scaling_factor`
-/// (workers=8 pps over workers=1 pps; `null` below 2 effective cores,
-/// where it measures nothing).
+/// Run `f` once, returning its result, the wall seconds it took (never
+/// 0), and the allocations it made (0 when counting is compiled out).
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+    let a0 = allocs_now();
+    let t0 = Instant::now();
+    let value = f();
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    (value, secs, allocs_now() - a0)
+}
+
+/// The compiled-data-plane bench behind `cay bench`
+/// (BENCH_dplane.json): per-packet strategy application with reused
+/// output buffers (interpreter vs. compiled program), the assembled
+/// single-threaded data plane in steady state, then the
+/// run-to-completion threaded plane at 1/2/8 workers — asserting the
+/// aggregate metrics of every worker count equal a single-threaded run
+/// over the same input before reporting packets/second and the
+/// threaded `scaling_factor` (workers=8 pps over workers=1 pps; `null`
+/// below 2 effective cores, where it measures nothing). With
+/// `--features count-allocs` every run also reports allocator entries
+/// per packet; otherwise those fields are `null`.
 fn bench_dplane() -> String {
     let strategy = geneva::library::STRATEGY_1.strategy();
     let workload = dplane_workload(64, 8);
@@ -1036,28 +911,46 @@ fn bench_dplane() -> String {
     let reps = 200u32;
     let applications = server_pkts.len() as f64 * f64::from(reps);
 
+    // Per-packet interpreter path, output buffer reused across packets;
+    // an untimed first pass sizes it.
     let mut engine = geneva::Engine::new(strategy.clone(), 0xBE9C);
-    let mut sink = 0usize;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for pkt in &server_pkts {
-            sink += engine.apply_outbound(pkt).len();
-        }
-    }
-    let interp_pps = applications / t0.elapsed().as_secs_f64().max(1e-9);
+    let mut out = Vec::new();
+    let mut interp_pass = || -> usize {
+        server_pkts
+            .iter()
+            .map(|pkt| {
+                out.clear();
+                engine.apply_outbound_into(pkt, &mut out);
+                out.len()
+            })
+            .sum()
+    };
+    interp_pass();
+    let (interp_sink, secs, allocs) = timed(|| (0..reps).map(|_| interp_pass()).sum::<usize>());
+    let interp_pps = applications / secs;
+    let interp_allocs = allocs_json(allocs, applications);
 
+    // Per-packet compiled path, out + scratch reused across packets.
     let program = Program::compile(&strategy).expect("library strategy verifies");
     let (mut out, mut scratch) = (Vec::new(), Vec::new());
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for pkt in &server_pkts {
-            out.clear();
-            program.apply_outbound(pkt, 0xBE9C, &mut out, &mut scratch);
-            sink += out.len();
-        }
-    }
-    let compiled_pps = applications / t0.elapsed().as_secs_f64().max(1e-9);
-    assert!(sink > 0, "bench produced no packets");
+    let mut compiled_pass = || -> usize {
+        server_pkts
+            .iter()
+            .map(|pkt| {
+                out.clear();
+                program.apply_outbound(pkt, 0xBE9C, &mut out, &mut scratch);
+                out.len()
+            })
+            .sum()
+    };
+    compiled_pass();
+    let (compiled_sink, secs, allocs) = timed(|| (0..reps).map(|_| compiled_pass()).sum::<usize>());
+    let compiled_pps = applications / secs;
+    let compiled_allocs = allocs_json(allocs, applications);
+    assert!(
+        interp_sink > 0 && compiled_sink > 0,
+        "bench produced no packets"
+    );
 
     // One pass of the 64-flow workload is ~640 packets — far too short
     // to time and dwarfed by thread spawn in the threaded runs. Replay
@@ -1072,43 +965,60 @@ fn bench_dplane() -> String {
         }
     }
 
+    // Steady-state single-threaded plane. The untimed warm-up pump over
+    // the repeated workload admits the flows and sizes every buffer,
+    // and is the single-threaded reference the threaded runs must
+    // match. The timed region, which the allocs-per-packet budget
+    // applies to, is 50 more pumps of one workload pass each, as a
+    // long-lived deployment sees them; building their replays (the
+    // workload clones) stays outside it.
     let cfg = DplaneConfig {
         seed: SeedMode::PerFlow(0x0D1A),
         ..DplaneConfig::default()
     };
     let mut dp = Dplane::new(cfg, geo_classifier());
-    let mut replay = PcapReplay::from_packets(repeated.clone());
-    let t0 = Instant::now();
-    let n = dp.pump(&mut replay, SERVER_ADDR);
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    dp.pump(&mut PcapReplay::from_packets(repeated.clone()), SERVER_ADDR);
     let single = dp.metrics();
+    let mut replays: Vec<PcapReplay> = (0..rounds)
+        .map(|_| PcapReplay::from_packets(workload.clone()))
+        .collect();
+    let (n, secs, allocs) = timed(|| {
+        replays
+            .iter_mut()
+            .map(|replay| dp.pump(replay, SERVER_ADDR))
+            .sum::<u64>()
+    });
     let plane = format!(
-        "{{\"packets\":{n},\"emitted\":{},\"pps\":{:.0}}}",
-        replay.emitted,
-        n as f64 / secs
+        "{{\"packets\":{n},\"emitted\":{},\"pps\":{:.0},\"allocs_per_packet\":{}}}",
+        replays.iter().map(|r| r.emitted).sum::<u64>(),
+        n as f64 / secs,
+        allocs_json(allocs, n as f64),
     );
 
-    // Threaded plane over the same repeated workload: metrics must
-    // agree with the single-threaded run above, and the headline
-    // scaling_factor is pps(workers=8) / pps(workers=1) within this
-    // same invocation.
+    // Threaded plane: one pump per worker count over the repeated
+    // workload, so worker spawn, ring setup, and flow-table sizing
+    // amortize to noise and allocs-per-packet reflects the steady-state
+    // packet path (recycled batch buffers, staged emissions moved,
+    // never cloned). Emissions land in a `VecIo` so the numbers measure
+    // the plane, not pcap bookkeeping. The headline scaling_factor is
+    // pps(workers=8) / pps(workers=1) within this same invocation.
     let effective_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut threaded_runs = Vec::new();
     let mut threaded_pps = Vec::new();
     for workers in [1usize, 2, 8] {
-        let mut replay = PcapReplay::from_packets(repeated.clone());
-        let t0 = Instant::now();
-        let (n, report) = pump_threaded(
-            &mut replay,
-            SERVER_ADDR,
-            cfg,
-            ThreadedConfig {
-                workers,
-                ..ThreadedConfig::default()
-            },
-            |_| geo_classifier(),
-        );
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
+        let mut io = VecIo::new(repeated.clone());
+        let ((n, report), secs, allocs) = timed(|| {
+            pump_threaded(
+                &mut io,
+                SERVER_ADDR,
+                cfg,
+                ThreadedConfig {
+                    workers,
+                    ..ThreadedConfig::default()
+                },
+                |_| geo_classifier(),
+            )
+        });
         assert_eq!(
             single.totals(),
             report.totals(),
@@ -1121,196 +1031,27 @@ fn bench_dplane() -> String {
         let pps = n as f64 / secs;
         threaded_pps.push(pps);
         threaded_runs.push(format!(
-            "{{\"workers\":{workers},\"packets\":{n},\"emitted\":{},\"pps\":{pps:.0}}}",
-            replay.emitted,
+            "{{\"workers\":{workers},\"packets\":{n},\"emitted\":{},\"pps\":{pps:.0},\"allocs_per_packet\":{}}}",
+            io.output.len(),
+            allocs_json(allocs, n as f64),
         ));
     }
     let scaling_factor = threaded_pps.last().copied().unwrap_or(1.0)
         / threaded_pps.first().copied().unwrap_or(1.0).max(1e-9);
 
     format!
-        ("{{\"bench\":\"dplane\",\"strategy\":{:?},\"applications\":{:.0},\"interp_pps\":{:.0},\"compiled_pps\":{:.0},\"compiled_speedup\":{:.2},\"effective_cores\":{},\"scaling_factor\":{},\"plane\":{},\"threaded_runs\":[{}]}}\n",
+        ("{{\"bench\":\"dplane\",\"strategy\":{:?},\"count_allocs\":{},\"applications\":{:.0},\"interp_pps\":{:.0},\"interp_allocs_per_packet\":{},\"compiled_pps\":{:.0},\"compiled_allocs_per_packet\":{},\"compiled_speedup\":{:.2},\"effective_cores\":{},\"scaling_factor\":{},\"plane\":{},\"threaded_runs\":[{}]}}\n",
         geneva::library::STRATEGY_1.name,
-        applications,
-        interp_pps,
-        compiled_pps,
-        compiled_pps / interp_pps.max(1e-9),
-        effective_cores,
-        scaling_json(scaling_factor, effective_cores),
-        plane,
-        threaded_runs.join(","),
-    )
-}
-
-/// The allocation/hot-path microbench behind `cay bench`
-/// (BENCH_hotpath.json): per-packet strategy application with reused
-/// output buffers (interpreter vs. compiled program), the assembled
-/// single-threaded data plane in steady state (a warm-up pump builds
-/// the flow table and scratch buffers; only the later pumps are
-/// measured), the run-to-completion threaded plane at 1/2/8 workers
-/// (one pump over the workload repeated 50×, so thread/ring setup
-/// amortizes to noise), and the trial pool at 1/2/8 jobs. With
-/// `--features count-allocs` each section also reports allocator
-/// entries per packet (or per trial); otherwise those fields are
-/// `null`.
-fn bench_hotpath() -> String {
-    let strategy = geneva::library::STRATEGY_1.strategy();
-    let workload = dplane_workload(64, 8);
-    let server_pkts: Vec<&Packet> = workload
-        .iter()
-        .filter(|(_, p)| p.ip.src == SERVER_ADDR)
-        .map(|(_, p)| p)
-        .collect();
-    let reps = 400u32;
-    let applications = server_pkts.len() as f64 * f64::from(reps);
-
-    // Per-packet interpreter path, output buffer reused across packets.
-    let mut engine = geneva::Engine::new(strategy.clone(), 0xBE9C);
-    let mut out: Vec<Packet> = Vec::new();
-    let mut sink = 0usize;
-    for pkt in &server_pkts {
-        out.clear();
-        engine.apply_outbound_into(pkt, &mut out);
-    }
-    let a0 = allocs_now();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for pkt in &server_pkts {
-            out.clear();
-            engine.apply_outbound_into(pkt, &mut out);
-            sink += out.len();
-        }
-    }
-    let interp_pps = applications / t0.elapsed().as_secs_f64().max(1e-9);
-    let interp_allocs = allocs_json(allocs_now() - a0, applications);
-
-    // Per-packet compiled path, out + scratch reused across packets.
-    let program = Program::compile(&strategy).expect("library strategy verifies");
-    let (mut out, mut scratch) = (Vec::new(), Vec::new());
-    for pkt in &server_pkts {
-        out.clear();
-        program.apply_outbound(pkt, 0xBE9C, &mut out, &mut scratch);
-    }
-    let a0 = allocs_now();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for pkt in &server_pkts {
-            out.clear();
-            program.apply_outbound(pkt, 0xBE9C, &mut out, &mut scratch);
-            sink += out.len();
-        }
-    }
-    let compiled_pps = applications / t0.elapsed().as_secs_f64().max(1e-9);
-    let compiled_allocs = allocs_json(allocs_now() - a0, applications);
-    assert!(sink > 0, "hotpath bench produced no packets");
-
-    // Steady-state data plane forward path: the first pump admits the
-    // flows and sizes every buffer; later pumps over the same packets
-    // are what a long-lived deployment looks like, and are the region
-    // the allocs-per-packet budget applies to.
-    let cfg = DplaneConfig {
-        seed: SeedMode::PerFlow(0x0D1A),
-        ..DplaneConfig::default()
-    };
-    let mut dp = Dplane::new(cfg, geo_classifier());
-    let mut warmup = PcapReplay::from_packets(workload.clone());
-    dp.pump(&mut warmup, SERVER_ADDR);
-    // One pump is ~640 packets (~0.1 ms) — far too short to time;
-    // replaying it many times makes the measured region long enough
-    // that scheduler noise stops dominating. Replay construction (the
-    // workload clone) happens outside the measured region.
-    let pump_reps = 50u32;
-    let mut replays: Vec<PcapReplay> = (0..pump_reps)
-        .map(|_| PcapReplay::from_packets(workload.clone()))
-        .collect();
-    let mut n = 0u64;
-    let a0 = allocs_now();
-    let t0 = Instant::now();
-    for replay in &mut replays {
-        n += dp.pump(replay, SERVER_ADDR);
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let allocs_per_packet = allocs_json(allocs_now() - a0, n as f64);
-    let dplane_run = format!(
-        "{{\"packets\":{n},\"pps\":{:.0},\"allocs_per_packet\":{allocs_per_packet}}}",
-        n as f64 / secs
-    );
-
-    // Threaded compiled path: one run-to-completion pump over the
-    // workload repeated 50× (timestamps advanced per round), so worker
-    // spawn, ring setup, and flow-table sizing amortize to noise and
-    // the allocs-per-packet number reflects the steady-state packet
-    // path — recycled batch buffers, COW payloads, staged emissions
-    // moved (never cloned). Emissions land in a `VecIo` so the number
-    // measures the plane, not pcap serialization.
-    let rounds = 50u64;
-    let span = workload.last().map_or(0, |(t, _)| t + 10);
-    let mut repeated = Vec::with_capacity(workload.len() * 50);
-    for round in 0..rounds {
-        for (t, pkt) in &workload {
-            repeated.push((round * span + t, pkt.clone()));
-        }
-    }
-    let mut threaded_runs = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let mut io = VecIo::new(repeated.clone());
-        let a0 = allocs_now();
-        let t0 = Instant::now();
-        let (n, _report) = pump_threaded(
-            &mut io,
-            SERVER_ADDR,
-            cfg,
-            ThreadedConfig {
-                workers,
-                ..ThreadedConfig::default()
-            },
-            |_| geo_classifier(),
-        );
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let allocs_per_packet = allocs_json(allocs_now() - a0, n as f64);
-        threaded_runs.push(format!(
-            "{{\"workers\":{workers},\"packets\":{n},\"pps\":{:.0},\"allocs_per_packet\":{allocs_per_packet}}}",
-            n as f64 / secs
-        ));
-    }
-
-    // Full trials through the pool at 1/2/8 jobs.
-    let cfg = TrialConfig::new(
-        Country::China,
-        AppProtocol::Http,
-        geneva::library::STRATEGY_1.strategy(),
-        0,
-    );
-    let tag = harness::cell_tag("bench/hotpath");
-    // 2000 trials keeps the one-off per-worker scratch-arena setup
-    // (~7 extra arenas at jobs=8) safely inside the count-allocs CI
-    // epsilon of 0.25 allocs/trial.
-    let pool_trials = 2000u32;
-    let mut pool_runs = Vec::new();
-    for jobs in [1usize, 2, 8] {
-        let pool = harness::Pool::with_jobs(jobs);
-        harness::success_rate_in(&pool, &cfg, 64, 0x407A, tag);
-        let a0 = allocs_now();
-        let t0 = Instant::now();
-        harness::success_rate_in(&pool, &cfg, pool_trials, 0x407A, tag);
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let allocs_per_trial = allocs_json(allocs_now() - a0, f64::from(pool_trials));
-        pool_runs.push(format!(
-            "{{\"jobs\":{jobs},\"trials\":{pool_trials},\"trials_per_sec\":{:.0},\"allocs_per_trial\":{allocs_per_trial}}}",
-            f64::from(pool_trials) / secs
-        ));
-    }
-
-    format!(
-        "{{\"bench\":\"hotpath\",\"count_allocs\":{},\"per_packet\":{{\"applications\":{:.0},\"interp_pps\":{:.0},\"interp_allocs_per_packet\":{},\"compiled_pps\":{:.0},\"compiled_allocs_per_packet\":{}}},\"dplane\":{},\"threaded\":[{}],\"pool\":[{}]}}\n",
         bench::alloc_count().is_some(),
         applications,
         interp_pps,
         interp_allocs,
         compiled_pps,
         compiled_allocs,
-        dplane_run,
+        compiled_pps / interp_pps.max(1e-9),
+        effective_cores,
+        scaling_json(scaling_factor, effective_cores),
+        plane,
         threaded_runs.join(","),
-        pool_runs.join(","),
     )
 }
