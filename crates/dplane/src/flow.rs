@@ -22,9 +22,7 @@
 //!   derived from the key), so an evicted flow that returns rebuilds
 //!   the exact state it lost.
 //!
-//! One table serves one thread. The threaded plane gives each worker
-//! its own table; flow placement lives in its dispatcher
-//! ([`crate::threaded`]).
+//! One table serves one thread: the [`crate::Dplane`] that owns it.
 
 use crate::metrics::ShardMetrics;
 use crate::program::Program;

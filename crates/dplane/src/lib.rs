@@ -21,17 +21,14 @@
 //! [`Classifier`], e.g. `harness::deploy::pick_for_client` behind a
 //! closure), compile-or-reuse its strategy, and rewrite its packets.
 //! Everything is deterministic: same packets in, same packets and same
-//! aggregate metrics out, for any worker count — byte-identical to the
-//! interpreter.
+//! metrics out — byte-identical to the interpreter.
 
 pub mod flow;
 pub mod io;
 pub mod metrics;
 pub mod program;
-pub mod ring;
 pub mod sim;
 pub(crate) mod sync_shim;
-pub mod threaded;
 
 pub use flow::{FlowConfig, FlowTable, Touch};
 pub use io::{PacketIo, PcapReplay, VecIo};
@@ -40,7 +37,6 @@ pub use program::{
     lower_ops, CompiledPart, Matcher, Op, Program, ProgramCache, ProgramProof, VerifyError,
 };
 pub use sim::DplaneEndpoint;
-pub use threaded::{pump_threaded, ThreadedConfig};
 
 use geneva::Strategy;
 use packet::{FlowKey, Packet};
@@ -116,14 +112,11 @@ impl Default for DplaneConfig {
 /// The assembled data plane: classifier → program cache → flow table →
 /// compiled execution, with flow-table metrics.
 ///
-/// The program cache is shared by reference and internally
-/// synchronized (see [`ProgramCache`]): a single-threaded plane owns
-/// its cache alone, while [`threaded::pump_threaded`] hands one cache
-/// to every worker so each canonical strategy compiles exactly
-/// once no matter which worker sees it first — keeping `cache_hits`/
-/// `cache_misses` identical to the single-threaded plane. Flow
-/// creation takes only the cache's read lock once a strategy is
-/// compiled, so workers racing to create flows never serialize.
+/// The plane and its flow table belong to one thread. The program
+/// cache is shared by reference and internally synchronized (see
+/// [`ProgramCache`]): the live service's control thread installs
+/// verified programs into the same cache its data thread's plane
+/// looks them up in.
 pub struct Dplane<C: Classifier> {
     classifier: C,
     programs: Arc<ProgramCache>,
@@ -139,8 +132,8 @@ impl<C: Classifier> Dplane<C> {
         Dplane::with_cache(cfg, classifier, Arc::new(ProgramCache::new()))
     }
 
-    /// Build a data plane over a shared program cache (the threaded
-    /// plane's workers all compile into one cache).
+    /// Build a data plane over a shared program cache (the live
+    /// service's control thread pre-seeds it on reload).
     pub fn with_cache(cfg: DplaneConfig, classifier: C, cache: Arc<ProgramCache>) -> Dplane<C> {
         Dplane {
             classifier,
@@ -240,13 +233,6 @@ impl<C: Classifier> Dplane<C> {
         self.flows.len()
     }
 
-    /// This plane's flow-table counters (no program-cache fields — the
-    /// threaded plane assembles a combined report from many workers
-    /// sharing one cache).
-    pub fn flow_metrics(&self) -> ShardMetrics {
-        self.flows.metrics()
-    }
-
     /// Export all counters.
     pub fn metrics(&self) -> MetricsReport {
         MetricsReport {
@@ -261,8 +247,7 @@ impl<C: Classifier> Dplane<C> {
     }
 }
 
-/// FNV-1a of the canonical flow key: the input to per-flow seeds and to
-/// the threaded plane's worker placement.
+/// FNV-1a of the canonical flow key: the input to per-flow seeds.
 pub(crate) fn key_hash(key: &FlowKey) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {

@@ -2,11 +2,9 @@
 //!
 //! Counters are plain integers bumped on the packet path — no atomics,
 //! because a [`crate::FlowTable`] is driven from one thread and
-//! determinism is the contract. A single plane reports one shard; the
-//! threaded plane reports one per worker, and the *aggregate* over them
-//! is bit-identical for any worker count (asserted by the threaded
-//! equivalence tests and by `cay bench`); the per-worker split is what
-//! changes.
+//! determinism is the contract. A plane reports its one flow table as
+//! the single entry of the report's `shards` array, next to the
+//! `totals` row folded from it.
 
 use std::collections::BTreeMap;
 use strata::report::esc;
@@ -59,8 +57,7 @@ impl ShardMetrics {
 /// `json_field_set_is_stable` below.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// One entry per flow table: one for a single plane, one per worker
-    /// (in worker order) for the threaded plane.
+    /// One entry per flow table; a [`crate::Dplane`] has one.
     pub shards: Vec<ShardMetrics>,
     /// Live flow count at export time.
     pub flows_live: usize,

@@ -505,19 +505,21 @@ fn compile_action(action: &Action, ops: &mut Vec<Op>) {
 ///
 /// ## Concurrency model (read-mostly)
 ///
-/// The cache is shared by reference across every shard worker of the
-/// threaded plane and between the live service's data thread and its
-/// control plane, so all methods take `&self`. The map sits behind an
-/// [`RwLock`]: the steady-state flow-creation path (strategy already
-/// compiled) takes only the **read** lock, so concurrent workers never
-/// serialize on it; the write lock is taken only to install a program
-/// that genuinely isn't there yet. A miss re-checks under the write
-/// lock before compiling, so each equivalence class compiles exactly
-/// once process-wide no matter how many workers race — and the
-/// hit/miss totals stay identical to a single-threaded run (one miss
-/// per distinct program, hits for everything else; the double-checked
-/// racer that loses the compile counts the hit a single-threaded run
-/// would have counted).
+/// The live service shares one cache between two threads, so all
+/// methods take `&self`: the data thread's [`crate::Dplane`] looks
+/// programs up on flow creation ([`ProgramCache::get_or_verify`]),
+/// and the control thread installs the programs of a verified reload
+/// ([`ProgramCache::insert`]). The map sits behind an [`RwLock`]: the
+/// steady-state flow-creation path (strategy already compiled) takes
+/// only the **read** lock, and the write lock is taken only to install
+/// a program that genuinely isn't there yet — a first compile, or a
+/// reload's insert. A miss re-checks under the write lock before
+/// compiling, so each equivalence class compiles exactly once no
+/// matter which thread gets there first — and the hit/miss totals
+/// stay identical to a single-threaded run (one miss per distinct
+/// program, hits for everything else; the double-checked racer that
+/// loses the compile counts the hit a single-threaded run would have
+/// counted).
 ///
 /// Counters are relaxed atomics: they order nothing, they only count.
 #[derive(Default)]
@@ -571,7 +573,7 @@ impl ProgramCache {
             return program;
         }
         let mut map = write_unpoisoned(&self.map);
-        // Double-check: a racing worker may have compiled it between
+        // Double-check: a racing thread may have compiled it between
         // our read miss and taking the write lock.
         if let Some(program) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -848,5 +850,57 @@ mod tests {
         assert!(identity
             .verdicts
             .contains(&(CensorId::Kazakhstan, Verdict::ProvablyInert)));
+    }
+
+    #[test]
+    fn concurrent_lookups_and_reload_insert_count_like_one_thread() {
+        // The live service's sharing, widened: four data-thread-style
+        // lookers race over the same three strategies while a
+        // control-thread-style reloader installs a fourth. Each class
+        // compiles exactly once, losers of the double-check count hits,
+        // and the insert never touches a counter.
+        use geneva::library::{STRATEGY_1, STRATEGY_2, STRATEGY_3, STRATEGY_8};
+        let looked_up: Vec<Strategy> = [STRATEGY_1, STRATEGY_2, STRATEGY_3]
+            .iter()
+            .map(|named| named.strategy())
+            .collect();
+        let reloaded = Arc::new(Program::compile(&STRATEGY_8.strategy()).unwrap());
+        // A reloaded class equal to a looked-up one would turn a miss
+        // into a timing-dependent hit.
+        let mut keys: Vec<CanonKey> = looked_up
+            .iter()
+            .map(|s| Program::compile(s).unwrap().key)
+            .collect();
+        keys.push(reloaded.key);
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 4, "four distinct canonical classes");
+
+        const LOOKERS: usize = 4;
+        let cache = ProgramCache::new();
+        // Every thread starts together, so the first lookups of each
+        // class race each other and the insert.
+        let start = std::sync::Barrier::new(LOOKERS + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..LOOKERS {
+                scope.spawn(|| {
+                    start.wait();
+                    for strategy in &looked_up {
+                        cache.get_or_verify(strategy).unwrap();
+                    }
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                assert!(cache.insert(Arc::clone(&reloaded)));
+            });
+        });
+
+        let lookups = LOOKERS * looked_up.len();
+        assert_eq!(cache.misses(), 3, "one compile per looked-up class");
+        assert_eq!(cache.hits(), u64::try_from(lookups - 3).unwrap());
+        assert_eq!(cache.verify_rejects(), 0);
+        assert_eq!(cache.len(), 4);
+        assert!(cache.get(&reloaded.key).is_some(), "reload installed");
     }
 }

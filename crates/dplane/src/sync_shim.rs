@@ -1,6 +1,6 @@
 //! Cfg-gated sync facade: `std::sync` in production, `weave::sync`
 //! under the `weave` feature so model tests can explore every
-//! interleaving of the ring channels and the program cache.
+//! interleaving of the program cache's lookups and installs.
 //!
 //! Production builds never see weave — the aliases below *are*
 //! `std::sync` types (zero cost, identical codegen). With
@@ -8,35 +8,27 @@
 //! model-checker shims, which fall through to std outside a
 //! `weave::explore` run.
 //!
-//! The `*_unpoisoned` helpers replace `.expect("ring poisoned")` /
-//! `.expect("program cache poisoned")` cascades: a panicking shard
-//! worker used to take every peer down with secondary `PoisonError`
-//! panics, burying the original backtrace. Recovering the guard is
-//! sound for these structures — every critical section leaves the
-//! ring/cache structurally valid (no partial states are published
-//! across an unwind), so peers can keep draining and the real panic
-//! surfaces alone.
+//! The `*_unpoisoned` helpers replace `.expect("program cache
+//! poisoned")` cascades: a thread that panics while holding the lock
+//! would otherwise take the thread sharing the cache down with a
+//! secondary `PoisonError` panic, burying the original backtrace.
+//! Recovering the guard is sound for the cache — every critical section
+//! leaves the map structurally valid (no partial states are published
+//! across an unwind), so the real panic surfaces alone.
 
 #[cfg(feature = "weave")]
-pub(crate) use weave::sync::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+pub(crate) use weave::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(feature = "weave")]
 pub(crate) use weave::sync::atomic;
 
 #[cfg(not(feature = "weave"))]
-pub(crate) use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub(crate) use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(not(feature = "weave"))]
 pub(crate) use std::sync::atomic;
 
 use std::sync::PoisonError;
-
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-pub(crate) fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Take a read lock, recovering from poison.
 pub(crate) fn read_unpoisoned<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {

@@ -7,17 +7,23 @@
 //!    strategies, and the client-side→server-side analogs), and
 //! 2. hundreds of generated strategies (arbitrary triggers, tamper
 //!    chains, duplicates, fragments), mirroring the `geneva` crate's
-//!    own property generators.
+//!    own property generators — each checked both as a bare program
+//!    and pumped through the assembled `Dplane` (classifier, program
+//!    cache, flow table) over a multi-flow, two-direction workload.
 //!
 //! Engine corruption is seeded per (packet, field) site, so the
 //! comparison is exact — not statistical.
 
-use dplane::Program;
+use dplane::{Dplane, DplaneConfig, FixedClassifier, FlowConfig, Program, SeedMode, VecIo};
 use geneva::ast::{Action, StrategyPart, TamperMode, Trigger};
 use geneva::{library, Engine, Strategy as GenevaStrategy};
 use packet::field::{FieldRef, FieldValue};
-use packet::{Packet, TcpFlags};
+use packet::{FlowKey, Packet, TcpFlags};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+const SERVER: [u8; 4] = [93, 184, 216, 34];
 
 /// The packet shapes the paper's strategies trigger on (and a few they
 /// must not).
@@ -84,6 +90,73 @@ fn shapes() -> Vec<Packet> {
     udp.finalize();
 
     vec![syn_ack, data, syn, fin, udp]
+}
+
+/// A multi-flow, two-direction workload: per flow a client SYN
+/// (inbound), a server SYN+ACK carrying MSS and window-scale options
+/// and a server data segment (outbound), and a client RST+ACK close
+/// (inbound), plus one UDP flow. Every packet has its own timestamp,
+/// so emissions can be traced back to the input that caused them.
+fn flow_workload(flows: u8) -> Vec<(u64, Packet)> {
+    let mut packets = Vec::new();
+    let mut t = 0u64;
+    for n in 1..=flows {
+        let client = [10, 7, n % 3, n];
+        let port = 40000 + u16::from(n);
+        let mut syn = Packet::tcp(client, port, SERVER, 80, TcpFlags::SYN, 100, 0, vec![]);
+        syn.finalize();
+        let mut syn_ack = Packet::tcp(
+            SERVER,
+            80,
+            client,
+            port,
+            TcpFlags::SYN_ACK,
+            9000,
+            101,
+            vec![],
+        );
+        syn_ack.tcp_header_mut().unwrap().options = vec![
+            packet::TcpOption::Mss(1460),
+            packet::TcpOption::WindowScale(7),
+        ];
+        syn_ack.finalize();
+        let mut data = Packet::tcp(
+            SERVER,
+            80,
+            client,
+            port,
+            TcpFlags::PSH_ACK,
+            9001,
+            101,
+            b"HTTP/1.1 200 OK\r\n\r\nforbidden fruit".to_vec(),
+        );
+        data.finalize();
+        let mut fin = Packet::tcp(
+            client,
+            port,
+            SERVER,
+            80,
+            TcpFlags::RST_ACK,
+            150,
+            9002,
+            vec![],
+        );
+        fin.finalize();
+        for pkt in [syn, syn_ack, data, fin] {
+            packets.push((t, pkt));
+            t += 50;
+        }
+    }
+    let mut udp = Packet::udp(
+        [10, 7, 0, 200],
+        5353,
+        SERVER,
+        53,
+        b"\x12\x34\x01\x00".to_vec(),
+    );
+    udp.finalize();
+    packets.push((t, udp));
+    packets
 }
 
 /// Interpreter vs. compiled, both directions, one (strategy, seed).
@@ -269,5 +342,40 @@ proptest! {
             prop_assert_eq!(engine.apply_outbound(&pkt), program.run_outbound(&pkt, seed));
             prop_assert_eq!(engine.apply_inbound(&pkt), program.run_inbound(&pkt, seed));
         }
+
+        // The assembled plane over many flows and both directions: its
+        // output must be what one interpreter per flow emits for that
+        // flow's packets, input by input, in input order.
+        let packets = flow_workload(30);
+        let mut engines: HashMap<FlowKey, Engine> = HashMap::new();
+        let mut want = Vec::new();
+        for (t, pkt) in &packets {
+            let engine = engines
+                .entry(pkt.flow_key())
+                .or_insert_with(|| Engine::new(strategy.clone(), seed));
+            let emitted = if pkt.ip.src == SERVER {
+                engine.apply_outbound(pkt)
+            } else {
+                engine.apply_inbound(pkt)
+            };
+            want.extend(emitted.into_iter().map(|p| (*t, p)));
+        }
+        let cfg = DplaneConfig {
+            flow: FlowConfig::default(),
+            seed: SeedMode::Fixed(seed),
+            unchecked: false,
+        };
+        let mut dp = Dplane::new(cfg, FixedClassifier(Some(Arc::new(strategy))));
+        let mut io = VecIo::new(packets.clone());
+        prop_assert_eq!(dp.pump(&mut io, SERVER), packets.len() as u64);
+        prop_assert_eq!(io.output.len(), want.len());
+        for ((got_t, got), (want_t, want)) in io.output.iter().zip(&want) {
+            prop_assert_eq!(got_t, want_t);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got.serialize_raw(), want.serialize_raw());
+        }
+        let m = dp.metrics();
+        prop_assert_eq!(m.verify_rejects, 0);
+        prop_assert_eq!(m.cache_misses, 1);
     }
 }

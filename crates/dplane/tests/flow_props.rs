@@ -5,9 +5,6 @@
 //! 2. an evicted flow that returns re-classifies to exactly the state
 //!    it lost — same program, same seed, same rewritten packets;
 //! 3. an idle flow that returns is recreated with the same state.
-//!
-//! That flow *placement* never changes outputs is the threaded plane's
-//! property, covered over 1–8 workers in `threaded_equiv.rs`.
 
 use dplane::{Classifier, Dplane, DplaneConfig, FlowConfig, SeedMode};
 use geneva::library;

@@ -57,6 +57,13 @@ use std::time::Instant;
 /// 65535 bytes; the TCP framing rejects anything claiming more).
 pub const MAX_FRAME: usize = 65_535;
 
+/// Bytes read from one TCP connection per dispatch. A peer that keeps
+/// its socket full would otherwise hold the data thread (and grow the
+/// ingress queue) for as long as it keeps writing; the epoll is
+/// level-triggered, so whatever the budget leaves unread is reported
+/// again on the next wait.
+const TCP_READ_BUDGET: usize = 4 * MAX_FRAME;
+
 /// Upper bound on concurrently tracked TCP ingress connections.
 /// Learned peer routes index into the connection table, so closed
 /// slots are retired in place rather than removed; the cap keeps a
@@ -431,13 +438,15 @@ impl Bridge {
         }
     }
 
-    /// Drain one connection's read side, extracting frames after every
-    /// read so the reassembly buffer never holds more than one read
-    /// plus one partial frame. Closing the stream drops its fd, which
-    /// also deregisters it from any epoll watching it.
+    /// Read up to [`TCP_READ_BUDGET`] bytes from one connection,
+    /// extracting frames after every read so the reassembly buffer
+    /// never holds more than one read plus one partial frame. Closing
+    /// the stream drops its fd, which also deregisters it from any
+    /// epoll watching it.
     fn read_conn(&mut self, idx: usize) -> usize {
         let mut queued = 0;
-        loop {
+        let mut budget = TCP_READ_BUDGET;
+        while budget > 0 {
             let Bridge {
                 conns, buf, ctr, ..
             } = self;
@@ -446,9 +455,11 @@ impl Bridge {
                 break;
             };
             ctr.bump();
-            match stream.read(buf) {
+            let want = budget.min(buf.len());
+            match stream.read(&mut buf[..want]) {
                 Ok(0) => {}
                 Ok(n) => {
+                    budget -= n;
                     conn.rd.extend_from_slice(&buf[..n]);
                     queued += self.extract_frames(idx);
                     continue;
@@ -892,6 +903,69 @@ mod tests {
         assert_eq!(bridge.stats.frames_in, u64::from(FRAMES));
         assert_eq!(bridge.stats.parse_errors, 0);
         let _client = writer.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn tcp_flood_delays_a_udp_frame_by_at_most_one_read_budget() {
+        let mut bridge = bind(true, loopback());
+        let mut client = TcpStream::connect(bridge.tcp_addr().unwrap()).unwrap();
+        // Accept the connection before the flood starts.
+        for _ in 0..200 {
+            bridge.poll();
+            if !bridge.conns.is_empty() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(bridge.conns.len(), 1);
+        let mut msg = Vec::new();
+        for i in 0..80_000 {
+            let bytes = sized([10, 91, 0, 9], i, 40).serialize_raw();
+            msg.extend_from_slice(&(u32::try_from(bytes.len()).unwrap()).to_be_bytes());
+            msg.extend_from_slice(&bytes);
+        }
+        // The writer fills the kernel's socket buffers without blocking,
+        // reports that the connection is full, then keeps it full for
+        // as long as the bridge reads; it ends when the bridge drops the
+        // connection.
+        let (report_full, full) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            client.set_nonblocking(true)?;
+            let mut sent = 0;
+            while sent < msg.len() {
+                match client.write(&msg[sent..]) {
+                    Ok(n) => sent += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) => return Err(e),
+                }
+            }
+            report_full.send(sent).unwrap();
+            client.set_nonblocking(false)?;
+            client.write_all(&msg[sent..])
+        });
+        let backlog = full.recv().unwrap();
+        let sender = UdpSocket::bind(loopback()).unwrap();
+        let datagram = frame([10, 7, 0, 2], [93, 184, 216, 34]);
+        // Loopback sends queue synchronously: the datagram is readable
+        // when `send_to` returns.
+        sender
+            .send_to(&datagram.serialize_raw(), bridge.udp_addr().unwrap())
+            .unwrap();
+        bridge.poll();
+        let ahead = bridge
+            .queue
+            .iter()
+            .position(|(_, pkt)| pkt.ip.src == [10, 7, 0, 2])
+            .expect("the datagram is queued by the same poll");
+        // Every TCP frame is 4 + 40 bytes on the connection.
+        let budget_frames = TCP_READ_BUDGET / (4 + 40);
+        assert!(
+            ahead <= budget_frames,
+            "{ahead} TCP frames queued ahead of the datagram \
+             (budget {budget_frames}, {backlog} bytes buffered)"
+        );
+        drop(bridge);
+        let _ = writer.join().unwrap();
     }
 
     #[test]

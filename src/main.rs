@@ -20,9 +20,7 @@
 //! cay run <strategy-dsl>         evaluate an arbitrary DSL strategy vs GFW/HTTP
 //! cay pcap <file.pcap>           capture one Strategy-1 exchange to pcap
 //! cay dplane [file.pcap]         run the compiled data plane (one flow table),
-//!                                print metrics JSON; --threads N uses the
-//!                                run-to-completion threaded plane with N workers
-//!                                (same output bytes); --unchecked skips the
+//!                                print metrics JSON; --unchecked skips the
 //!                                proof gate
 //! cay serve [--udp A] [--tcp A] [--control A] [--upstream A]
 //!           [--geo file] [--rollout file] [--backend epoll]
@@ -38,10 +36,10 @@
 //!                                scaling_factor; scaling fields are null below
 //!                                2 cores)
 //!                                + compiled-data-plane bench (BENCH_dplane.json:
-//!                                  interpreter vs compiled, steady-state plane,
-//!                                  threaded workers 1/2/8); allocations counted
-//!                                  with --features count-allocs; --only runs
-//!                                  one section. `cay serve` is measured end to
+//!                                  interpreter vs compiled, steady-state
+//!                                  plane); allocations counted with
+//!                                  --features count-allocs; --only runs one
+//!                                  section. `cay serve` is measured end to
 //!                                  end by the ledger (bash ledger/run.sh)
 //! ```
 //!
@@ -52,9 +50,7 @@
 
 use appproto::AppProtocol;
 use censor::Country;
-use dplane::{
-    pump_threaded, Dplane, DplaneConfig, PcapReplay, Program, SeedMode, ThreadedConfig, VecIo,
-};
+use dplane::{Dplane, DplaneConfig, PcapReplay, Program, SeedMode};
 use harness::experiments;
 use harness::{run_trial, success_rate, Throughput, TrialConfig};
 use packet::{Packet, TcpFlags};
@@ -405,26 +401,16 @@ fn dispatch(args: &[String], trials: &dyn Fn(u32) -> u32) {
 
 /// `cay dplane` runs a synthetic multi-country workload; `cay dplane
 /// <file.pcap>` replays a capture (e.g. one written by `cay pcap`).
-/// Either way the metrics print as one JSON document. `--threads N`
-/// swaps the single-threaded pump for the run-to-completion threaded
-/// plane with N workers — emitted bytes and order are identical by
-/// construction. Bad arguments and unreadable captures exit 2.
+/// Either way the metrics print as one JSON document. Unknown
+/// options, extra arguments and unreadable captures exit 2.
 fn run_dplane(args: &[String]) {
     let mut unchecked = false;
-    let mut threads: Option<usize> = None;
     let mut pcap_path: Option<&str> = None;
-    let mut rest = args.iter().skip(1);
-    while let Some(arg) = rest.next() {
+    for arg in args.iter().skip(1) {
         match arg.as_str() {
             // `--unchecked` bypasses the compile-time proof gate.
             "--unchecked" => unchecked = true,
-            "--threads" => match rest.next().and_then(|s| s.parse().ok()) {
-                Some(n) => threads = Some(n),
-                None => dplane_usage("--threads needs a worker count"),
-            },
-            s if s.parse::<usize>().is_ok() => dplane_usage(&format!(
-                "{s} is not a pcap file; for N worker threads use --threads N"
-            )),
+            s if s.starts_with("--") => dplane_usage(&format!("unknown option {s}")),
             s if pcap_path.is_none() => pcap_path = Some(s),
             s => dplane_usage(&format!("unexpected argument {s}")),
         }
@@ -451,34 +437,20 @@ fn run_dplane(args: &[String]) {
         unchecked,
         ..DplaneConfig::default()
     };
-    let (n, report) = match threads {
-        Some(workers) => {
-            let tcfg = ThreadedConfig {
-                workers,
-                ..ThreadedConfig::default()
-            };
-            pump_threaded(&mut replay, SERVER_ADDR, cfg, tcfg, |_| geo_classifier())
-        }
-        None => {
-            let mut dp = Dplane::new(cfg, geo_classifier());
-            let n = dp.pump(&mut replay, SERVER_ADDR);
-            (n, dp.metrics())
-        }
-    };
+    let mut dp = Dplane::new(cfg, geo_classifier());
+    let n = dp.pump(&mut replay, SERVER_ADDR);
+    let report = dp.metrics();
     eprintln!(
-        "replayed {n} packets from {source} over {} worker(s): {} emitted, \
+        "replayed {n} packets from {source}: {} emitted, \
          {} records skipped, {} flows live",
-        threads.unwrap_or(1),
-        replay.emitted,
-        replay.skipped,
-        report.flows_live
+        replay.emitted, replay.skipped, report.flows_live
     );
     println!("{}", report.to_json());
 }
 
 /// Report a `cay dplane` usage error and exit 2.
 fn dplane_usage(msg: &str) -> ! {
-    eprintln!("dplane: {msg}\nusage: cay dplane [--threads N] [--unchecked] [file.pcap]");
+    eprintln!("dplane: {msg}\nusage: cay dplane [--unchecked] [file.pcap]");
     std::process::exit(2);
 }
 
@@ -891,13 +863,9 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
 
 /// The compiled-data-plane bench behind `cay bench`
 /// (BENCH_dplane.json): per-packet strategy application with reused
-/// output buffers (interpreter vs. compiled program), the assembled
-/// single-threaded data plane in steady state, then the
-/// run-to-completion threaded plane at 1/2/8 workers — asserting the
-/// aggregate metrics of every worker count equal a single-threaded run
-/// over the same input before reporting packets/second and the
-/// threaded `scaling_factor` (workers=8 pps over workers=1 pps; `null`
-/// below 2 effective cores, where it measures nothing). With
+/// output buffers (interpreter vs. compiled program), then the
+/// assembled data plane in steady state, each reported as
+/// packets/second; `effective_cores` records the machine. With
 /// `--features count-allocs` every run also reports allocator entries
 /// per packet; otherwise those fields are `null`.
 fn bench_dplane() -> String {
@@ -952,34 +920,19 @@ fn bench_dplane() -> String {
         "bench produced no packets"
     );
 
-    // One pass of the 64-flow workload is ~640 packets — far too short
-    // to time and dwarfed by thread spawn in the threaded runs. Replay
-    // it 50 times (timestamps advanced per round so flow state stays
-    // warm and the idle sweep never fires) to measure steady state.
-    let rounds = 50u64;
-    let span = workload.last().map_or(0, |(t, _)| t + 10);
-    let mut repeated = Vec::with_capacity(workload.len() * usize::try_from(rounds).unwrap_or(50));
-    for round in 0..rounds {
-        for (t, pkt) in &workload {
-            repeated.push((round * span + t, pkt.clone()));
-        }
-    }
-
-    // Steady-state single-threaded plane. The untimed warm-up pump over
-    // the repeated workload admits the flows and sizes every buffer,
-    // and is the single-threaded reference the threaded runs must
-    // match. The timed region, which the allocs-per-packet budget
-    // applies to, is 50 more pumps of one workload pass each, as a
-    // long-lived deployment sees them; building their replays (the
-    // workload clones) stays outside it.
+    // Steady-state plane. One pass of the 64-flow workload is ~640
+    // packets, too short to time, so the timed region (which the
+    // allocs-per-packet budget applies to) is 50 pumps of one pass
+    // each, as a long-lived deployment sees them. An untimed warm-up
+    // pass admits the flows and sizes every buffer first; building the
+    // replays (the workload clones) stays outside the timed region.
     let cfg = DplaneConfig {
         seed: SeedMode::PerFlow(0x0D1A),
         ..DplaneConfig::default()
     };
     let mut dp = Dplane::new(cfg, geo_classifier());
-    dp.pump(&mut PcapReplay::from_packets(repeated.clone()), SERVER_ADDR);
-    let single = dp.metrics();
-    let mut replays: Vec<PcapReplay> = (0..rounds)
+    dp.pump(&mut PcapReplay::from_packets(workload.clone()), SERVER_ADDR);
+    let mut replays: Vec<PcapReplay> = (0..50)
         .map(|_| PcapReplay::from_packets(workload.clone()))
         .collect();
     let (n, secs, allocs) = timed(|| {
@@ -995,52 +948,9 @@ fn bench_dplane() -> String {
         allocs_json(allocs, n as f64),
     );
 
-    // Threaded plane: one pump per worker count over the repeated
-    // workload, so worker spawn, ring setup, and flow-table sizing
-    // amortize to noise and allocs-per-packet reflects the steady-state
-    // packet path (recycled batch buffers, staged emissions moved,
-    // never cloned). Emissions land in a `VecIo` so the numbers measure
-    // the plane, not pcap bookkeeping. The headline scaling_factor is
-    // pps(workers=8) / pps(workers=1) within this same invocation.
     let effective_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut threaded_runs = Vec::new();
-    let mut threaded_pps = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let mut io = VecIo::new(repeated.clone());
-        let ((n, report), secs, allocs) = timed(|| {
-            pump_threaded(
-                &mut io,
-                SERVER_ADDR,
-                cfg,
-                ThreadedConfig {
-                    workers,
-                    ..ThreadedConfig::default()
-                },
-                |_| geo_classifier(),
-            )
-        });
-        assert_eq!(
-            single.totals(),
-            report.totals(),
-            "threaded metrics diverge from single-threaded"
-        );
-        assert_eq!(
-            single.strategies, report.strategies,
-            "threaded strategy set diverges from single-threaded"
-        );
-        let pps = n as f64 / secs;
-        threaded_pps.push(pps);
-        threaded_runs.push(format!(
-            "{{\"workers\":{workers},\"packets\":{n},\"emitted\":{},\"pps\":{pps:.0},\"allocs_per_packet\":{}}}",
-            io.output.len(),
-            allocs_json(allocs, n as f64),
-        ));
-    }
-    let scaling_factor = threaded_pps.last().copied().unwrap_or(1.0)
-        / threaded_pps.first().copied().unwrap_or(1.0).max(1e-9);
-
     format!
-        ("{{\"bench\":\"dplane\",\"strategy\":{:?},\"count_allocs\":{},\"applications\":{:.0},\"interp_pps\":{:.0},\"interp_allocs_per_packet\":{},\"compiled_pps\":{:.0},\"compiled_allocs_per_packet\":{},\"compiled_speedup\":{:.2},\"effective_cores\":{},\"scaling_factor\":{},\"plane\":{},\"threaded_runs\":[{}]}}\n",
+        ("{{\"bench\":\"dplane\",\"strategy\":{:?},\"count_allocs\":{},\"applications\":{:.0},\"interp_pps\":{:.0},\"interp_allocs_per_packet\":{},\"compiled_pps\":{:.0},\"compiled_allocs_per_packet\":{},\"compiled_speedup\":{:.2},\"effective_cores\":{},\"plane\":{}}}\n",
         geneva::library::STRATEGY_1.name,
         bench::alloc_count().is_some(),
         applications,
@@ -1050,8 +960,6 @@ fn bench_dplane() -> String {
         compiled_allocs,
         compiled_pps / interp_pps.max(1e-9),
         effective_cores,
-        scaling_json(scaling_factor, effective_cores),
         plane,
-        threaded_runs.join(","),
     )
 }

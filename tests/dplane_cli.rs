@@ -44,6 +44,13 @@ fn unreadable_or_non_pcap_input_exits_2() {
 }
 
 #[test]
-fn bare_number_is_a_usage_error_naming_threads() {
-    assert_usage_error(&cay_dplane("8"), "--threads");
+fn removed_threads_flag_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_cay"))
+        .args(["dplane", "--threads", "8"])
+        .output()
+        .unwrap();
+    assert_usage_error(&out, "unknown option --threads");
+    assert_usage_error(&cay_dplane("--anything"), "unknown option --anything");
+    // A bare number is a path like any other: no such capture, exit 2.
+    assert_usage_error(&cay_dplane("8"), "dplane: 8:");
 }
