@@ -18,17 +18,18 @@
 //!   (`cay dplane`).
 //!
 //! [`Dplane`] ties them together: classify a new flow's client (via any
-//! [`Classifier`], e.g. `harness::deploy::pick_for_client` behind a
-//! closure), compile-or-reuse its strategy, and rewrite its packets.
-//! Everything is deterministic: same packets in, same packets and same
-//! metrics out — byte-identical to the interpreter.
+//! [`Classifier`], e.g. `svc::RolloutClassifier` or a closure),
+//! compile-or-reuse its strategy through the proof gate, and rewrite
+//! its packets. A plane, its flow table and its [`ProgramCache`]
+//! belong to one thread; nothing in this crate is shared between
+//! threads. Everything is deterministic: same packets in, same packets
+//! and same metrics out — byte-identical to the interpreter.
 
 pub mod flow;
 pub mod io;
 pub mod metrics;
 pub mod program;
 pub mod sim;
-pub(crate) mod sync_shim;
 
 pub use flow::{FlowConfig, FlowTable, Touch};
 pub use io::{PacketIo, PcapReplay, VecIo};
@@ -91,12 +92,6 @@ pub struct DplaneConfig {
     pub flow: FlowConfig,
     /// Corrupt-seed derivation.
     pub seed: SeedMode,
-    /// Skip the compile-time proof gate. Checked mode (the default)
-    /// refuses to install a program that fails
-    /// `strata::absint::verify_ops` — the flow passes through
-    /// unmodified and `verify_rejects` counts it. Unchecked mode
-    /// installs it anyway (the `--unchecked` escape hatch).
-    pub unchecked: bool,
 }
 
 impl Default for DplaneConfig {
@@ -104,7 +99,6 @@ impl Default for DplaneConfig {
         DplaneConfig {
             flow: FlowConfig::default(),
             seed: SeedMode::PerFlow(0),
-            unchecked: false,
         }
     }
 }
@@ -112,37 +106,40 @@ impl Default for DplaneConfig {
 /// The assembled data plane: classifier → program cache → flow table →
 /// compiled execution, with flow-table metrics.
 ///
-/// The plane and its flow table belong to one thread. The program
-/// cache is shared by reference and internally synchronized (see
-/// [`ProgramCache`]): the live service's control thread installs
-/// verified programs into the same cache its data thread's plane
-/// looks them up in.
+/// The plane owns its classifier, flow table and program cache, and
+/// belongs to one thread. The live service installs a reload's
+/// verified programs on that thread, through [`Dplane::programs`],
+/// before it points the classifier at the new rollout table.
 pub struct Dplane<C: Classifier> {
     classifier: C,
-    programs: Arc<ProgramCache>,
+    programs: ProgramCache,
     flows: FlowTable,
     scratch: Vec<Packet>,
     seed_mode: SeedMode,
-    unchecked: bool,
 }
 
 impl<C: Classifier> Dplane<C> {
-    /// Build a data plane with its own program cache.
+    /// Build a data plane with an empty program cache.
     pub fn new(cfg: DplaneConfig, classifier: C) -> Dplane<C> {
-        Dplane::with_cache(cfg, classifier, Arc::new(ProgramCache::new()))
-    }
-
-    /// Build a data plane over a shared program cache (the live
-    /// service's control thread pre-seeds it on reload).
-    pub fn with_cache(cfg: DplaneConfig, classifier: C, cache: Arc<ProgramCache>) -> Dplane<C> {
         Dplane {
             classifier,
-            programs: cache,
+            programs: ProgramCache::new(),
             flows: FlowTable::new(cfg.flow),
             scratch: Vec::new(),
             seed_mode: cfg.seed,
-            unchecked: cfg.unchecked,
         }
+    }
+
+    /// The plane's program cache (install verified programs with
+    /// [`ProgramCache::insert`]).
+    pub fn programs(&self) -> &ProgramCache {
+        &self.programs
+    }
+
+    /// The plane's classifier, for swapping what new flows classify
+    /// against. Live flows keep the program they classified to.
+    pub fn classifier_mut(&mut self) -> &mut C {
+        &mut self.classifier
     }
 
     /// Rewrite one packet the server is sending; emissions append to
@@ -160,7 +157,6 @@ impl<C: Classifier> Dplane<C> {
     fn process(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>, outbound: bool) {
         let key = pkt.flow_key();
         let seed_mode = self.seed_mode;
-        let unchecked = self.unchecked;
         let Dplane {
             classifier,
             programs,
@@ -176,17 +172,13 @@ impl<C: Classifier> Dplane<C> {
                 SeedMode::Fixed(seed) => seed,
                 SeedMode::PerFlow(base) => flow_seed(base, &key),
             };
-            // Checked mode refuses unverifiable programs: the flow
+            // The proof gate refuses unverifiable programs: the flow
             // passes through unmodified (fail-safe — clients keep
             // working, they just get no evasion) and the reject is
             // counted in metrics.
-            let program = classifier.classify(pkt).and_then(|s| {
-                if unchecked {
-                    Some(programs.get_or_compile(&s))
-                } else {
-                    programs.get_or_verify(&s).ok()
-                }
-            });
+            let program = classifier
+                .classify(pkt)
+                .and_then(|s| programs.get_or_verify(&s).ok());
             (program, seed)
         });
         match touch.program {

@@ -32,12 +32,11 @@ use geneva::engine::TamperHint;
 use geneva::Strategy;
 use packet::field::{FieldKind, FieldRef, FieldValue};
 use packet::{Packet, Proto, TcpFlags};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::sync_shim::atomic::{AtomicU64, Ordering};
-use crate::sync_shim::{read_unpoisoned, write_unpoisoned, RwLock};
 use strata::absint::{AbsOp, TamperKind};
 use strata::censor_model::{check_all, CensorId, Verdict};
 use strata::CanonKey;
@@ -235,11 +234,9 @@ pub struct Program {
     pub key: CanonKey,
     /// The canonical DSL text (metrics/debug labels).
     pub canonical_text: String,
-    /// Discharged proof obligations. `Some` whenever every part
-    /// verified — which includes everything this compiler emits itself
-    /// (its jump targets are forward by construction). `None` only
-    /// when [`Program::compile_unchecked`] swallowed a failure.
-    pub proof: Option<ProgramProof>,
+    /// Discharged proof obligations: every compiled body verified, so
+    /// a `Program` value is itself the proof that it passed the gate.
+    pub proof: ProgramProof,
     /// Per-censor static verdicts from the product model checker,
     /// computed once at compile time. Programs are cached per
     /// [`CanonKey`], so the verdicts ride the cache: a genome that
@@ -252,59 +249,33 @@ impl Program {
     /// body must discharge the stack-discipline, termination, and
     /// bounded-amplification obligations, or the program is refused.
     pub fn compile(strategy: &Strategy) -> Result<Program, VerifyError> {
-        Program::build(strategy, true)
-    }
-
-    /// [`Program::compile`] without the proof gate: a body that fails
-    /// verification is installed anyway (and `proof` is `None`). The
-    /// `--unchecked` escape hatch; the compiler's own output always
-    /// verifies, so this differs only for hand-fed op sequences or a
-    /// future compiler bug.
-    pub fn compile_unchecked(strategy: &Strategy) -> Program {
-        match Program::build(strategy, false) {
-            Ok(program) => program,
-            Err(_) => unreachable!("build never fails when checked=false"),
-        }
-    }
-
-    fn build(strategy: &Strategy, checked: bool) -> Result<Program, VerifyError> {
         let canonical = strata::canonicalize_strategy(strategy);
         let key = CanonKey::of(&canonical);
         let canonical_text = canonical.to_string();
         let verdicts = check_all(&strata::summarize(&canonical));
         let mut outbound: Vec<CompiledPart> = canonical.outbound.iter().map(compile_part).collect();
         let mut inbound: Vec<CompiledPart> = canonical.inbound.iter().map(compile_part).collect();
-        let mut proof = Some(ProgramProof {
+        let mut proof = ProgramProof {
             max_stack: 0,
             max_emit: 0,
-        });
+        };
         for (direction, parts) in [("outbound", &mut outbound), ("inbound", &mut inbound)] {
             for (index, part) in parts.iter_mut().enumerate() {
-                match strata::verify_ops(&lower_ops(&part.ops)) {
-                    Ok(part_proof) => {
-                        // The per-pc Valid facts become TrustedValid
-                        // hints on the tamper ops they license.
-                        for (op, valid) in part.ops.iter_mut().zip(&part_proof.tamper_valid) {
-                            if let (Op::Tamper { hint, .. }, true) = (op, *valid) {
-                                *hint = TamperHint::TrustedValid;
-                            }
-                        }
-                        if let Some(agg) = proof.as_mut() {
-                            agg.max_stack = agg.max_stack.max(part_proof.max_stack);
-                            agg.max_emit = agg.max_emit.max(part_proof.max_emit);
-                        }
-                    }
-                    Err(error) => {
-                        if checked {
-                            return Err(VerifyError {
-                                direction,
-                                part: index,
-                                error,
-                            });
-                        }
-                        proof = None;
+                let part_proof =
+                    strata::verify_ops(&lower_ops(&part.ops)).map_err(|error| VerifyError {
+                        direction,
+                        part: index,
+                        error,
+                    })?;
+                // The per-pc Valid facts become TrustedValid hints on
+                // the tamper ops they license.
+                for (op, valid) in part.ops.iter_mut().zip(&part_proof.tamper_valid) {
+                    if let (Op::Tamper { hint, .. }, true) = (op, *valid) {
+                        *hint = TamperHint::TrustedValid;
                     }
                 }
+                proof.max_stack = proof.max_stack.max(part_proof.max_stack);
+                proof.max_emit = proof.max_emit.max(part_proof.max_emit);
             }
         }
         Ok(Program {
@@ -503,36 +474,43 @@ fn compile_action(action: &Action, ops: &mut Vec<Op>) {
 /// two countries, or a mutated genome that collapses to a known form)
 /// share one compiled program.
 ///
-/// ## Concurrency model (read-mostly)
+/// ## One owner
 ///
-/// The live service shares one cache between two threads, so all
-/// methods take `&self`: the data thread's [`crate::Dplane`] looks
-/// programs up on flow creation ([`ProgramCache::get_or_verify`]),
-/// and the control thread installs the programs of a verified reload
-/// ([`ProgramCache::insert`]). The map sits behind an [`RwLock`]: the
-/// steady-state flow-creation path (strategy already compiled) takes
-/// only the **read** lock, and the write lock is taken only to install
-/// a program that genuinely isn't there yet — a first compile, or a
-/// reload's insert. A miss re-checks under the write lock before
-/// compiling, so each equivalence class compiles exactly once no
-/// matter which thread gets there first — and the hit/miss totals
-/// stay identical to a single-threaded run (one miss per distinct
-/// program, hits for everything else; the double-checked racer that
-/// loses the compile counts the hit a single-threaded run would have
-/// counted).
+/// The cache belongs to the thread that runs its [`crate::Dplane`].
+/// Flow creation looks programs up ([`ProgramCache::get_or_verify`]);
+/// a live service's verified reloads are handed to that same thread,
+/// which installs them ([`ProgramCache::insert`]). Nothing else touches
+/// the cache, so it has no locks and no atomics: the map is a
+/// `RefCell` and the counters are `Cell`s. Methods take `&self` so a
+/// shared borrow of the plane can still look programs up.
 ///
-/// Counters are relaxed atomics: they order nothing, they only count.
+/// The cache can move to another thread (it is `Send`):
+///
+/// ```
+/// fn owned<T: Send>() {}
+/// owned::<dplane::ProgramCache>();
+/// ```
+///
+/// but it is not `Sync`, so the compiler refuses to share it:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<dplane::ProgramCache>();
+/// ```
 #[derive(Default)]
 pub struct ProgramCache {
-    map: RwLock<HashMap<CanonKey, Arc<Program>>>,
+    map: RefCell<HashMap<CanonKey, Arc<Program>>>,
     /// Lookups that found an existing program.
-    hits: AtomicU64,
+    hits: Cell<u64>,
     /// Lookups that compiled a new program.
-    misses: AtomicU64,
-    /// Lookups refused because verification failed (only
-    /// [`ProgramCache::get_or_verify`] refuses; rejects are never
+    misses: Cell<u64>,
+    /// Lookups refused because verification failed (rejects are never
     /// cached, so a repeat offender counts every time).
-    verify_rejects: AtomicU64,
+    verify_rejects: Cell<u64>,
+}
+
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 impl ProgramCache {
@@ -543,110 +521,58 @@ impl ProgramCache {
 
     /// Lookups that found an existing program.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookups that compiled a new program.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Lookups refused by the proof gate.
     pub fn verify_rejects(&self) -> u64 {
-        self.verify_rejects.load(Ordering::Relaxed)
+        self.verify_rejects.get()
     }
 
-    /// Read-lock lookup by pre-computed key, counting a hit on success.
-    fn lookup(&self, key: &CanonKey) -> Option<Arc<Program>> {
-        let found = read_unpoisoned(&self.map).get(key).map(Arc::clone);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Fetch the compiled form of `strategy`, compiling (unchecked) at
-    /// most once per equivalence class.
-    pub fn get_or_compile(&self, strategy: &Strategy) -> Arc<Program> {
-        let key = CanonKey::of(&strata::canonicalize_strategy(strategy));
-        if let Some(program) = self.lookup(&key) {
-            return program;
-        }
-        let mut map = write_unpoisoned(&self.map);
-        // Double-check: a racing thread may have compiled it between
-        // our read miss and taking the write lock.
-        if let Some(program) = map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(program);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let program = Arc::new(Program::compile_unchecked(strategy));
-        map.insert(key, Arc::clone(&program));
-        program
-    }
-
-    /// [`ProgramCache::get_or_compile`] with the proof gate: a
-    /// strategy whose program fails verification is refused and *not*
-    /// cached. Everything already in the cache was verified (only
-    /// verified programs are inserted here), so hits stay cheap.
+    /// Fetch the verified compiled form of `strategy`, compiling at
+    /// most once per equivalence class. A strategy whose program fails
+    /// verification is refused and *not* cached. Everything in the
+    /// cache is verified (a [`Program`] carries its proof), so hits
+    /// stay cheap.
     pub fn get_or_verify(&self, strategy: &Strategy) -> Result<Arc<Program>, VerifyError> {
         let key = CanonKey::of(&strata::canonicalize_strategy(strategy));
-        if let Some(program) = self.lookup(&key) {
-            return Ok(program);
-        }
-        let mut map = write_unpoisoned(&self.map);
-        if let Some(program) = map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(program) = self.map.borrow().get(&key) {
+            bump(&self.hits);
             return Ok(Arc::clone(program));
         }
-        // Compiling under the write lock serializes compilation of
-        // *distinct* new strategies, which is exactly the exactly-once
-        // guarantee: a rollout ships a handful of programs, flows ship
-        // millions of packets — the read path is what must scale.
         match Program::compile(strategy) {
             Ok(program) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                bump(&self.misses);
                 let program = Arc::new(program);
-                map.insert(key, Arc::clone(&program));
+                self.map.borrow_mut().insert(key, Arc::clone(&program));
                 Ok(program)
             }
             Err(error) => {
-                self.verify_rejects.fetch_add(1, Ordering::Relaxed);
+                bump(&self.verify_rejects);
                 Err(error)
             }
         }
     }
 
-    /// Look up a compiled program by canonical key without touching
-    /// the hit/miss counters — the control plane peeking at what is
-    /// installed, not a flow taking the packet path.
-    pub fn get(&self, key: &CanonKey) -> Option<Arc<Program>> {
-        read_unpoisoned(&self.map).get(key).map(Arc::clone)
-    }
-
     /// Install an already-compiled program under its own canonical
-    /// key, without touching the hit/miss counters. This is the hot
-    /// reload surface: the control plane verifies a candidate with
+    /// key, without touching the counters. This is the hot-reload
+    /// surface: the control plane verifies a candidate with
     /// [`Program::compile`] *outside* the cache (a refusal must leave
-    /// every counter byte-identical), then inserts the verified
-    /// program so the first flow of the new rollout takes a cache hit
-    /// instead of recompiling.
-    ///
-    /// Refuses (returns `false`, cache untouched) when the program
-    /// carries no proof — only verified programs may enter through
-    /// this door; the `--unchecked` path goes through
-    /// [`ProgramCache::get_or_compile`].
-    pub fn insert(&self, program: Arc<Program>) -> bool {
-        if program.proof.is_none() {
-            return false;
-        }
-        write_unpoisoned(&self.map).insert(program.key, program);
-        true
+    /// every counter byte-identical) and hands the verified programs to
+    /// the cache's owner, which installs them here so the first flow of
+    /// the new rollout takes a cache hit instead of recompiling.
+    pub fn insert(&self, program: Arc<Program>) {
+        self.map.borrow_mut().insert(program.key, program);
     }
 
     /// Number of distinct compiled programs.
     pub fn len(&self) -> usize {
-        read_unpoisoned(&self.map).len()
+        self.map.borrow().len()
     }
 
     /// True when nothing has been compiled yet.
@@ -657,7 +583,8 @@ impl ProgramCache {
     /// Canonical DSL text per program key — the metrics labels, as the
     /// ordered snapshot [`crate::MetricsReport`] embeds.
     pub fn strategies(&self) -> std::collections::BTreeMap<CanonKey, String> {
-        read_unpoisoned(&self.map)
+        self.map
+            .borrow()
             .iter()
             .map(|(key, program)| (*key, program.canonical_text.clone()))
             .collect()
@@ -794,8 +721,8 @@ mod tests {
         // Strategy plus a dead tail: same canonical class.
         let a = parse_strategy("[TCP:flags:SA]-duplicate(,)-| \\/ ").unwrap();
         let b = parse_strategy("[TCP:flags:SA]-duplicate(,)-| [TCP:flags:R]-send-| \\/ ").unwrap();
-        let pa = cache.get_or_compile(&a);
-        let pb = cache.get_or_compile(&b);
+        let pa = cache.get_or_verify(&a).unwrap();
+        let pb = cache.get_or_verify(&b).unwrap();
         assert_eq!(pa.key, pb.key);
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -808,19 +735,12 @@ mod tests {
         let s = parse_strategy("[TCP:flags:SA]-duplicate(,)-| \\/ ").unwrap();
         let program = Arc::new(Program::compile(&s).unwrap());
         let cache = ProgramCache::new();
-        assert!(cache.insert(Arc::clone(&program)));
+        cache.insert(Arc::clone(&program));
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 1));
-        assert!(cache.get(&program.key).is_some());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0), "get never counts");
+        assert!(cache.strategies().contains_key(&program.key));
         let hit = cache.get_or_verify(&s).unwrap();
         assert_eq!(hit.key, program.key);
         assert_eq!((cache.hits(), cache.misses()), (1, 0));
-        // Unverified programs are refused at this door.
-        let unverified = Arc::new(Program {
-            proof: None,
-            ..(*program).clone()
-        });
-        assert!(!cache.insert(unverified));
     }
 
     #[test]
@@ -850,57 +770,5 @@ mod tests {
         assert!(identity
             .verdicts
             .contains(&(CensorId::Kazakhstan, Verdict::ProvablyInert)));
-    }
-
-    #[test]
-    fn concurrent_lookups_and_reload_insert_count_like_one_thread() {
-        // The live service's sharing, widened: four data-thread-style
-        // lookers race over the same three strategies while a
-        // control-thread-style reloader installs a fourth. Each class
-        // compiles exactly once, losers of the double-check count hits,
-        // and the insert never touches a counter.
-        use geneva::library::{STRATEGY_1, STRATEGY_2, STRATEGY_3, STRATEGY_8};
-        let looked_up: Vec<Strategy> = [STRATEGY_1, STRATEGY_2, STRATEGY_3]
-            .iter()
-            .map(|named| named.strategy())
-            .collect();
-        let reloaded = Arc::new(Program::compile(&STRATEGY_8.strategy()).unwrap());
-        // A reloaded class equal to a looked-up one would turn a miss
-        // into a timing-dependent hit.
-        let mut keys: Vec<CanonKey> = looked_up
-            .iter()
-            .map(|s| Program::compile(s).unwrap().key)
-            .collect();
-        keys.push(reloaded.key);
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), 4, "four distinct canonical classes");
-
-        const LOOKERS: usize = 4;
-        let cache = ProgramCache::new();
-        // Every thread starts together, so the first lookups of each
-        // class race each other and the insert.
-        let start = std::sync::Barrier::new(LOOKERS + 1);
-        std::thread::scope(|scope| {
-            for _ in 0..LOOKERS {
-                scope.spawn(|| {
-                    start.wait();
-                    for strategy in &looked_up {
-                        cache.get_or_verify(strategy).unwrap();
-                    }
-                });
-            }
-            scope.spawn(|| {
-                start.wait();
-                assert!(cache.insert(Arc::clone(&reloaded)));
-            });
-        });
-
-        let lookups = LOOKERS * looked_up.len();
-        assert_eq!(cache.misses(), 3, "one compile per looked-up class");
-        assert_eq!(cache.hits(), u64::try_from(lookups - 3).unwrap());
-        assert_eq!(cache.verify_rejects(), 0);
-        assert_eq!(cache.len(), 4);
-        assert!(cache.get(&reloaded.key).is_some(), "reload installed");
     }
 }

@@ -363,7 +363,6 @@ proptest! {
         let cfg = DplaneConfig {
             flow: FlowConfig::default(),
             seed: SeedMode::Fixed(seed),
-            unchecked: false,
         };
         let mut dp = Dplane::new(cfg, FixedClassifier(Some(Arc::new(strategy))));
         let mut io = VecIo::new(packets.clone());

@@ -85,7 +85,6 @@ proptest! {
         let cfg = DplaneConfig {
             flow: FlowConfig { capacity, idle_timeout: 50_000 },
             seed: SeedMode::PerFlow(0xF10),
-            unchecked: false,
         };
         let mut dp = Dplane::new(cfg, ByAddr);
         let mut now = 0u64;
@@ -115,7 +114,6 @@ proptest! {
         let cfg = DplaneConfig {
             flow: FlowConfig { capacity, idle_timeout: u64::MAX },
             seed: SeedMode::PerFlow(0xF10),
-            unchecked: false,
         };
         let mut dp = Dplane::new(cfg, ByAddr);
         let mut first = Vec::new();
@@ -147,7 +145,6 @@ fn idle_flows_expire_and_rebuild() {
             idle_timeout: 1_000,
         },
         seed: SeedMode::PerFlow(0xF10),
-        unchecked: false,
     };
     let mut dp = Dplane::new(cfg, ByAddr);
     let probe = packet_for(Event {

@@ -224,8 +224,7 @@ pub struct OpsProof {
 }
 
 /// Abstractly interpret one body. See the module docs for the proof
-/// obligations; `Err` means installation must be refused (or the
-/// caller explicitly opted out with `--unchecked`).
+/// obligations; `Err` means installation must be refused.
 pub fn verify_ops(ops: &[AbsOp]) -> Result<OpsProof, VerifyError> {
     let len = ops.len();
     // Termination: every control transfer is strictly forward, so pc

@@ -2,8 +2,8 @@
 //!
 //! `POST /config` carries a rollout table (the
 //! [`harness::deploy::RolloutTable::parse`] grammar). Before anything
-//! touches the live plane, every arm is vetted **outside** the shared
-//! program cache:
+//! touches the live plane, every arm is vetted on the control thread,
+//! **outside** the data plane's program cache:
 //!
 //! 1. the DSL must parse (spanned [`TableParseError`] otherwise),
 //! 2. `strata::analyze` must not prove the strategy statically futile,
@@ -18,9 +18,12 @@
 //! metric byte-identical (asserted by proptest); the response still
 //! carries the full per-arm verification report so the operator can
 //! see exactly which arm failed and why. On success the pre-compiled
-//! programs are seeded into the shared cache with the counter-neutral
-//! [`dplane::ProgramCache::insert`], so post-reload flows hit without
-//! skewing hit/miss parity against an offline run.
+//! programs are queued in [`crate::SvcShared::reloaded`] and the table
+//! is swapped. The data thread, which alone owns the program cache,
+//! installs the programs with the counter-neutral
+//! [`dplane::ProgramCache::insert`] at the top of its next pump, so
+//! post-reload flows hit without skewing hit/miss parity against an
+//! offline run.
 
 use dplane::Program;
 use harness::deploy::{GeoTable, RolloutTable};
@@ -92,13 +95,11 @@ pub fn vet_config(text: &str, geo: &GeoTable, protocol: appproto::AppProtocol) -
             let mut verdicts = Vec::new();
             match Program::compile(&arm.strategy) {
                 Ok(program) => {
-                    let (max_stack, max_emit) =
-                        program.proof.map_or((0, 0), |p| (p.max_stack, p.max_emit));
                     facts = strata::ProgramFacts {
                         verified: true,
                         error: None,
-                        max_stack,
-                        max_emit,
+                        max_stack: program.proof.max_stack,
+                        max_emit: program.proof.max_emit,
                     };
                     verdicts.clone_from(&program.verdicts);
                     programs.push(Arc::new(program));
@@ -158,22 +159,22 @@ pub fn vet_config(text: &str, geo: &GeoTable, protocol: appproto::AppProtocol) -
 }
 
 /// Vet a config body and, if it passes every gate, swap it live:
-/// pre-seed the shared program cache (counter-neutral) and publish the
+/// queue the verified programs for the data thread, then publish the
 /// new rollout table for *new* flows. Existing flows keep the program
 /// they classified to — rollouts never rewrite a flow mid-stream.
 pub fn apply_config(shared: &SvcShared, text: &str) -> ReloadOutcome {
     let mut outcome = vet_config(text, &shared.geo, shared.protocol);
     match outcome.table.take() {
         Some((table, programs)) => {
-            for program in programs {
-                shared.cache.insert(program);
-            }
+            // Programs first, table second: a data thread that sees the
+            // new table has its programs queued already.
+            unpoisoned(shared.reloaded.lock()).extend(programs);
             *unpoisoned(shared.rollout.write()) = Arc::new(table);
             shared
                 .reloads
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // Kick an idle data thread so the swap is visible in the
-            // next published snapshot, not after the idle-wait timeout.
+            // Kick an idle data thread so it takes the reload up now,
+            // not after the idle-wait timeout.
             shared.data_waker.wake();
         }
         None => {

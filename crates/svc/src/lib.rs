@@ -42,7 +42,7 @@ pub mod sys;
 pub use bridge::{BackendChoice, Bridge, BridgeConfig, BridgeStats};
 pub use control::{apply_config, vet_config, ReloadOutcome};
 
-use dplane::{Classifier, Dplane, DplaneConfig, MetricsReport, PacketIo, ProgramCache};
+use dplane::{Classifier, Dplane, DplaneConfig, MetricsReport, PacketIo, Program};
 use geneva::Strategy;
 use harness::deploy::{GeoEntry, GeoTable, RolloutTable};
 use packet::Packet;
@@ -54,8 +54,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Take a lock guard even if a previous holder panicked. Every writer
-/// of [`SvcShared`]'s locks replaces the whole value in one assignment,
-/// so a poisoned lock still holds a complete value.
+/// of [`SvcShared`]'s locks replaces the whole value in one assignment
+/// or moves whole programs in or out of the reload queue, so a
+/// poisoned lock still holds a complete value.
 pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -74,10 +75,12 @@ pub struct SvcShared {
     /// data thread exits, so `/status` keeps answering during drain).
     pub control_stop: AtomicBool,
     /// The live rollout table; swapped whole by an accepted reload.
+    /// The data thread reads it once per pump.
     pub rollout: RwLock<Arc<RolloutTable>>,
-    /// The program cache the data plane compiles into; accepted
-    /// reloads pre-seed it (counter-neutrally).
-    pub cache: Arc<ProgramCache>,
+    /// Verified programs of accepted reloads, queued for the data
+    /// thread, which installs them in its plane's program cache
+    /// (counter-neutrally) at the top of its next pump.
+    pub reloaded: Mutex<Vec<Arc<Program>>>,
     /// Latest published metrics snapshot (what `/metrics` serves).
     pub snapshot: Mutex<MetricsReport>,
     /// Latest bridge counters (what `/status` serves).
@@ -120,13 +123,20 @@ impl SvcShared {
     }
 }
 
-/// Per-flow strategy selection for the live plane: longest-prefix
-/// match + deterministic A/B split over the *client* address (the
-/// non-server side of the flow, so either direction's first packet
-/// classifies identically).
+/// Per-flow strategy selection: longest-prefix match + deterministic
+/// A/B split over the *client* address (the non-server side of the
+/// flow, so either direction's first packet classifies identically).
 pub struct RolloutClassifier {
-    shared: Arc<SvcShared>,
+    table: Arc<RolloutTable>,
     server_addr: [u8; 4],
+}
+
+impl RolloutClassifier {
+    /// Classify against `table`, with `server_addr` the protected
+    /// server (every other address is a client).
+    pub fn new(table: Arc<RolloutTable>, server_addr: [u8; 4]) -> RolloutClassifier {
+        RolloutClassifier { table, server_addr }
+    }
 }
 
 impl Classifier for RolloutClassifier {
@@ -136,7 +146,7 @@ impl Classifier for RolloutClassifier {
         } else {
             first_pkt.ip.src
         };
-        unpoisoned(self.shared.rollout.read()).pick(client)
+        self.table.pick(client)
     }
 }
 
@@ -169,14 +179,14 @@ pub struct Core {
 impl Core {
     /// Build a core and publish its (empty) first snapshot.
     pub fn new(cfg: CoreConfig) -> Core {
-        let cache = Arc::new(ProgramCache::new());
+        let table = Arc::new(cfg.rollout);
         let shared = Arc::new(SvcShared {
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             control_stop: AtomicBool::new(false),
-            rollout: RwLock::new(Arc::new(cfg.rollout)),
-            cache: cache.clone(),
+            rollout: RwLock::new(Arc::clone(&table)),
+            reloaded: Mutex::new(Vec::new()),
             snapshot: Mutex::new(MetricsReport::default()),
             bridge_stats: Mutex::new(BridgeStats::default()),
             packets: AtomicU64::new(0),
@@ -187,11 +197,8 @@ impl Core {
             data_waker: sys::Waker::new(),
             control_waker: sys::Waker::new(),
         });
-        let classifier = RolloutClassifier {
-            shared: shared.clone(),
-            server_addr: cfg.server_addr,
-        };
-        let dp = Dplane::with_cache(cfg.dplane, classifier, cache);
+        let classifier = RolloutClassifier::new(table, cfg.server_addr);
+        let dp = Dplane::new(cfg.dplane, classifier);
         let mut core = Core {
             shared,
             dp,
@@ -201,9 +208,20 @@ impl Core {
         core
     }
 
-    /// Drain `io` through the plane; publishes a fresh snapshot when
-    /// anything was processed. Returns the packet count.
+    /// Take up any accepted reload, then drain `io` through the
+    /// plane; publishes a fresh snapshot when anything was processed.
+    /// Returns the packet count.
+    ///
+    /// A reload takes effect here, at a pump boundary. The table is
+    /// read *before* the queued programs are drained: `apply_config`
+    /// queues programs before it swaps the table, so whatever table
+    /// this pump sees has its programs installed.
     pub fn pump<I: PacketIo>(&mut self, io: &mut I) -> u64 {
+        let table = Arc::clone(&*unpoisoned(self.shared.rollout.read()));
+        for program in unpoisoned(self.shared.reloaded.lock()).drain(..) {
+            self.dp.programs().insert(program);
+        }
+        self.dp.classifier_mut().table = table;
         let n = self.dp.pump(io, self.server_addr);
         if n > 0 {
             self.shared.packets.fetch_add(n, Ordering::Relaxed);

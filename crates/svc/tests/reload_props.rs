@@ -11,7 +11,7 @@
 //! Both run against [`svc::Core`] — the exact production pump, minus
 //! sockets — so the properties hold for `cay serve` by construction.
 
-use dplane::{DplaneConfig, SeedMode, VecIo};
+use dplane::{DplaneConfig, Program, SeedMode, VecIo};
 use harness::deploy::{demo_geo_entries, RolloutTable};
 use packet::{Packet, TcpFlags};
 use proptest::prelude::*;
@@ -165,9 +165,19 @@ proptest! {
         let mut reference = Core::new(ref_cfg);
         let mut io_new = VecIo::new(open_flow(client2, 40_002));
         let mut io_ref = VecIo::new(open_flow(client2, 40_002));
+        let before = core.offline_report();
         core.pump(&mut io_new);
         reference.pump(&mut io_ref);
         prop_assert_eq!(emitted_bytes(&io_new), emitted_bytes(&io_ref));
+
+        // The reload handed its verified program to the data thread's
+        // cache: the new flow hits it instead of compiling, and the
+        // metrics list it.
+        let after = core.offline_report();
+        prop_assert_eq!(after.cache_hits, before.cache_hits + 1);
+        prop_assert_eq!(after.cache_misses, before.cache_misses);
+        let window_cap = Program::compile(&geneva::parse_strategy(WINDOW_CAP).unwrap()).unwrap();
+        prop_assert!(after.strategies.contains_key(&window_cap.key));
 
         // ...and it differs from the old behavior (the twin's).
         let mut io_old = VecIo::new(open_flow(client2, 40_002));

@@ -39,9 +39,9 @@
 //!
 //! Outside an [`explore`] execution the shims fall through to plain
 //! `std::sync`, so a crate can compile its production types against a
-//! cfg-gated facade (see the `sync_shim` modules in `harness`,
-//! `dplane`, and `svc`) and pay zero cost — in production builds the
-//! facade *is* `std::sync`, and weave never appears in the binary.
+//! cfg-gated facade (see the `sync_shim` module in `harness`) and pay
+//! zero cost — in production builds the facade *is* `std::sync`, and
+//! weave never appears in the binary.
 
 mod sched;
 pub mod sync;

@@ -20,8 +20,7 @@
 //! cay run <strategy-dsl>         evaluate an arbitrary DSL strategy vs GFW/HTTP
 //! cay pcap <file.pcap>           capture one Strategy-1 exchange to pcap
 //! cay dplane [file.pcap]         run the compiled data plane (one flow table),
-//!                                print metrics JSON; --unchecked skips the
-//!                                proof gate
+//!                                print metrics JSON
 //! cay serve [--udp A] [--tcp A] [--control A] [--upstream A]
 //!           [--geo file] [--rollout file] [--backend epoll]
 //!                                run the live service (Linux-only): socket
@@ -404,12 +403,9 @@ fn dispatch(args: &[String], trials: &dyn Fn(u32) -> u32) {
 /// Either way the metrics print as one JSON document. Unknown
 /// options, extra arguments and unreadable captures exit 2.
 fn run_dplane(args: &[String]) {
-    let mut unchecked = false;
     let mut pcap_path: Option<&str> = None;
     for arg in args.iter().skip(1) {
         match arg.as_str() {
-            // `--unchecked` bypasses the compile-time proof gate.
-            "--unchecked" => unchecked = true,
             s if s.starts_with("--") => dplane_usage(&format!("unknown option {s}")),
             s if pcap_path.is_none() => pcap_path = Some(s),
             s => dplane_usage(&format!("unexpected argument {s}")),
@@ -434,7 +430,6 @@ fn run_dplane(args: &[String]) {
     };
     let cfg = DplaneConfig {
         seed: SeedMode::PerFlow(0x0D1A),
-        unchecked,
         ..DplaneConfig::default()
     };
     let mut dp = Dplane::new(cfg, geo_classifier());
@@ -450,7 +445,7 @@ fn run_dplane(args: &[String]) {
 
 /// Report a `cay dplane` usage error and exit 2.
 fn dplane_usage(msg: &str) -> ! {
-    eprintln!("dplane: {msg}\nusage: cay dplane [--unchecked] [file.pcap]");
+    eprintln!("dplane: {msg}\nusage: cay dplane [file.pcap]");
     std::process::exit(2);
 }
 
@@ -474,15 +469,12 @@ fn verify_entry(
             .collect()
     };
     let program = match Program::compile(&strategy) {
-        Ok(program) => {
-            let proof = program.proof.expect("checked compile carries its proof");
-            strata::ProgramFacts {
-                verified: true,
-                error: None,
-                max_stack: proof.max_stack,
-                max_emit: proof.max_emit,
-            }
-        }
+        Ok(program) => strata::ProgramFacts {
+            verified: true,
+            error: None,
+            max_stack: program.proof.max_stack,
+            max_emit: program.proof.max_emit,
+        },
         Err(e) => strata::ProgramFacts {
             verified: false,
             error: Some(e.to_string()),
@@ -780,16 +772,15 @@ fn bench_usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// §8-style per-client classification for the data plane: locate the
-/// flow's client in the demo geo table and deploy the top recommended
-/// (client-OS-safe) strategy for that country; unknown clients pass
-/// through untouched.
-fn geo_classifier() -> impl FnMut(&Packet) -> Option<Arc<geneva::Strategy>> + Send {
-    let table = harness::deploy::demo_geo_table();
-    move |pkt: &Packet| {
-        harness::deploy::pick_for_client(pkt.ip.src, AppProtocol::Http, &table)
-            .map(|named| Arc::new(named.strategy()))
-    }
+/// §8-style per-client classification for the data plane, the same
+/// way `cay serve` does it: each country in the demo geo table gets
+/// its top recommended (client-OS-safe) strategy, picked by the flow's
+/// client address whichever direction opened the flow; unknown clients
+/// pass through untouched.
+fn geo_classifier() -> svc::RolloutClassifier {
+    let geo = harness::deploy::demo_geo_entries();
+    let table = harness::deploy::RolloutTable::from_geo(&geo, AppProtocol::Http);
+    svc::RolloutClassifier::new(Arc::new(table), SERVER_ADDR)
 }
 
 /// Synthetic multi-country workload: `flows` TCP flows from clients

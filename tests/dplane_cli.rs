@@ -1,7 +1,8 @@
 #![allow(clippy::unwrap_used)] // test code
 //! `cay dplane` rejects bad input with a message and exit status 2 —
 //! never a panic (exit 101) — the same way `cay serve` treats its bad
-//! inputs.
+//! inputs, and classifies a flow by its client the way `cay serve`
+//! does.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -50,7 +51,51 @@ fn removed_threads_flag_is_a_usage_error() {
         .output()
         .unwrap();
     assert_usage_error(&out, "unknown option --threads");
-    assert_usage_error(&cay_dplane("--anything"), "unknown option --anything");
+    // Removed options are unknown like any other: the threaded plane's
+    // worker count, and the switch that skipped the proof gate (the
+    // gate is always on).
+    for option in ["threads", "unchecked", "anything"] {
+        let flag = format!("--{option}");
+        assert_usage_error(&cay_dplane(&flag), &format!("unknown option {flag}"));
+    }
     // A bare number is a path like any other: no such capture, exit 2.
     assert_usage_error(&cay_dplane("8"), "dplane: 8:");
+}
+
+/// A flow whose first captured packet comes from the server (the
+/// client's SYN fell before the capture started) still classifies by
+/// its client: the `Classifier` contract says a flow re-classifies the
+/// same way whichever packet opens it.
+#[test]
+fn server_first_capture_still_gets_the_clients_strategy() {
+    let path = std::env::temp_dir().join(format!(
+        "cay-dplane-cli-{}-exchange.pcap",
+        std::process::id()
+    ));
+    let path = path.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_cay"))
+        .args(["pcap", path])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "cay pcap failed: {out:?}");
+    let capture = std::fs::read(path).unwrap();
+    std::fs::remove_file(path).unwrap();
+
+    // µs-pcap: a 24-byte global header, then records of a 16-byte
+    // header (captured length at offset 8) plus the frame. Drop the
+    // first record, the client's SYN.
+    let first = 24;
+    let len = u32::from_le_bytes(capture[first + 8..first + 12].try_into().unwrap());
+    let rest = first + 16 + usize::try_from(len).unwrap();
+    let mut stripped = capture[..first].to_vec();
+    stripped.extend_from_slice(&capture[rest..]);
+    let stripped = scratch_file("server-first.pcap", &stripped);
+    let out = cay_dplane(stripped.to_str().unwrap());
+    std::fs::remove_file(&stripped).unwrap();
+
+    assert!(out.status.success(), "{out:?}");
+    let json = String::from_utf8(out.stdout).unwrap();
+    let totals = &json[json.find("\"totals\"").unwrap()..];
+    assert!(totals.contains("\"pass_through\":0"), "{json}");
+    assert!(!totals.contains("\"applies\":{}"), "{json}");
 }

@@ -52,7 +52,6 @@ fn rewritten_capture() -> Vec<u8> {
     let cfg = DplaneConfig {
         flow: FlowConfig::default(),
         seed: SeedMode::Fixed(0x5EED),
-        unchecked: false,
     };
     let mut dp = Dplane::new(cfg, FixedClassifier(Some(Arc::new(strategy))));
     let mut trace = Trace::default();

@@ -21,15 +21,12 @@ fn library_entries() -> Vec<ReportEntry> {
             let strategy = named.strategy();
             let analysis = strata::analyze(&strategy);
             let program = match dplane::Program::compile(&strategy) {
-                Ok(p) => {
-                    let proof = p.proof.expect("checked compile carries its proof");
-                    ProgramFacts {
-                        verified: true,
-                        error: None,
-                        max_stack: proof.max_stack,
-                        max_emit: proof.max_emit,
-                    }
-                }
+                Ok(p) => ProgramFacts {
+                    verified: true,
+                    error: None,
+                    max_stack: p.proof.max_stack,
+                    max_emit: p.proof.max_emit,
+                },
                 Err(e) => ProgramFacts {
                     verified: false,
                     error: Some(e.to_string()),
