@@ -52,8 +52,6 @@ pub mod pool;
 pub mod rates;
 pub mod screen;
 pub mod seed;
-pub mod steal;
-pub(crate) mod sync_shim;
 pub mod trial;
 pub mod waterfall;
 

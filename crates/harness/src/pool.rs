@@ -7,13 +7,13 @@
 //! results **in index order**, so any reduction over the results is
 //! bit-identical regardless of worker count:
 //!
-//! * work is handed out through chunk-granular **work-stealing
-//!   queues** ([`crate::steal`]): each worker owns a contiguous block
-//!   of the index space pre-split into chunks, pops locally, and
-//!   steals half a victim's backlog when it drains — which *worker*
-//!   runs task `i` varies between runs, but task `i` itself is a pure
-//!   function of `i` (trial seeds come from
-//!   [`crate::seed::derive_trial_seed`], never from execution order);
+//! * work is handed out through one shared atomic cursor: each worker
+//!   claims the next chunk-sized index range with `fetch_add` until
+//!   the cursor passes `n`, so a worker that finishes early simply
+//!   claims more — which *worker* runs task `i` varies between runs,
+//!   but task `i` itself is a pure function of `i` (trial seeds come
+//!   from [`crate::seed::derive_trial_seed`], never from execution
+//!   order);
 //! * each worker buffers `(start, results)` runs; after the scope
 //!   joins, runs are scattered back into an index-ordered `Vec`.
 //!
@@ -33,7 +33,6 @@
 //! parallelism". Tests that compare worker counts construct explicit
 //! [`Pool`]s instead of touching the global.
 
-use crate::steal::{seed_queues, ChunkQueue};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -78,8 +77,6 @@ pub fn trials_run() -> u64 {
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     workers: usize,
-    /// Explicit chunk size (`None` = sized from `n` and `workers`).
-    chunk: Option<usize>,
 }
 
 impl Pool {
@@ -87,7 +84,6 @@ impl Pool {
     pub fn with_jobs(workers: usize) -> Pool {
         Pool {
             workers: workers.max(1),
-            chunk: None,
         }
     }
 
@@ -97,26 +93,17 @@ impl Pool {
         Pool::with_jobs(jobs())
     }
 
-    /// Pin the work-stealing chunk size (clamped to ≥ 1). Results are
-    /// bit-identical for any value — the knob exists for the
-    /// adversarial-chunking proptests and for benchmarks.
-    pub fn with_chunk(mut self, chunk: usize) -> Pool {
-        self.chunk = Some(chunk.max(1));
-        self
-    }
-
     /// This pool's worker count.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// The chunk size used for a batch of `n` tasks over `workers`
-    /// workers: explicit override, else ~8 chunks per worker capped at
-    /// 64 tasks — small enough that a straggler's backlog is worth
-    /// stealing, large enough that queue traffic stays negligible.
-    fn chunk_for(&self, n: usize, workers: usize) -> usize {
-        self.chunk
-            .unwrap_or_else(|| (n / (workers * 8)).clamp(1, 64))
+    /// workers: ~8 chunks per worker capped at 64 tasks — small enough
+    /// that a slow chunk leaves the other workers plenty to claim,
+    /// large enough that cursor traffic stays negligible.
+    fn chunk_for(n: usize, workers: usize) -> usize {
+        (n / (workers * 8)).clamp(1, 64)
     }
 
     /// Run `f(0..n)` across the pool and return results in index
@@ -141,7 +128,7 @@ impl Pool {
     /// value for a fresh scratch and a reused one — scratch holds
     /// *capacity* (buffers, arenas), never *state* that leaks between
     /// tasks. Under that contract the output is bit-identical for any
-    /// worker count, chunk size, and steal interleaving.
+    /// worker count and any order in which workers claim chunks.
     pub fn map_indexed_scratch<T, S, F, G>(&self, n: usize, make_scratch: G, f: F) -> Vec<T>
     where
         T: Send,
@@ -154,19 +141,19 @@ impl Pool {
             return (0..n).map(|i| f(&mut scratch, i)).collect();
         }
 
-        // Chunk-granular work stealing (see `crate::steal`): each
-        // worker owns a contiguous block of `0..n` pre-split into
-        // chunks, pops locally, and steals half a victim's backlog
-        // when its own queue drains — stragglers no longer gate the
-        // batch, and the steady state touches no shared counter.
+        // One shared cursor: each worker claims the next chunk-sized
+        // range of `0..n` until the cursor passes `n`. A worker that
+        // finishes early claims more, so a slow chunk gates only its
+        // own worker. `Relaxed` suffices: the cursor publishes no
+        // data, and the scope join publishes the results.
         let workers = self.workers.min(n);
-        let chunk = self.chunk_for(n, workers);
-        let queues: Vec<ChunkQueue> = seed_queues(n, workers, chunk);
+        let chunk = Pool::chunk_for(n, workers);
+        let cursor = AtomicUsize::new(0);
         let mut buckets: Vec<Vec<(usize, Vec<T>)>> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
+                .map(|_| {
+                    let cursor = &cursor;
                     let f = &f;
                     let make_scratch = &make_scratch;
                     scope.spawn(move || {
@@ -174,16 +161,11 @@ impl Pool {
                         let mut scratch = make_scratch();
                         let mut local = Vec::new();
                         loop {
-                            // Local queue first; on empty, scan victims
-                            // in deterministic ring order and take half
-                            // their backlog. No chunk is ever re-queued
-                            // after it starts, so "all queues empty" is
-                            // a sound exit.
-                            let next = queues[w].pop().or_else(|| {
-                                (1..workers)
-                                    .find_map(|v| queues[(w + v) % workers].steal_half(&queues[w]))
-                            });
-                            let Some((start, end)) = next else { break };
+                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                            if start >= n {
+                                break;
+                            }
+                            let end = (start + chunk).min(n);
                             let mut run = Vec::with_capacity(end - start);
                             run.extend((start..end).map(|i| f(&mut scratch, i)));
                             local.push((start, run));

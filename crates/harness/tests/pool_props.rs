@@ -1,11 +1,11 @@
-//! Property tests for the work-stealing pool: outputs are bit-identical
-//! to the serial map for *any* worker count and *any* chunk size — the
-//! determinism contract `map_indexed`/`map_indexed_scratch` promise.
+//! Property tests for the trial pool: outputs are bit-identical to the
+//! serial map for *any* worker count and batch size — the determinism
+//! contract `map_indexed`/`map_indexed_scratch` promise.
 //!
-//! Steal interleavings are not directly controllable from here (they
-//! depend on OS scheduling), so each case runs the same batch several
-//! times: every run exercises a different interleaving and every run
-//! must reproduce the serial output exactly.
+//! The order in which workers claim chunks is not controllable from
+//! here (it depends on OS scheduling), so each case runs the same batch
+//! several times: every run exercises a different interleaving and
+//! every run must reproduce the serial output exactly.
 
 #![allow(clippy::unwrap_used)] // test code
 
@@ -25,18 +25,17 @@ fn task(i: usize) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Work-stealing handout never changes the result: adversarial
-    /// (n, workers, chunk) combinations — chunk of 1 maximizes steal
-    /// traffic, chunk larger than n degenerates to one chunk per
-    /// worker — all reproduce the serial map.
+    /// The cursor handout never changes the result: over these
+    /// (n, workers) ranges the chunk rule yields every chunk size from
+    /// 1 (small batches) to the 64 cap, and every one reproduces the
+    /// serial map.
     #[test]
     fn map_indexed_bit_identical_under_adversarial_chunking(
-        n in 0usize..600,
+        n in 0usize..1200,
         workers in 1usize..12,
-        chunk in 1usize..80,
     ) {
         let serial: Vec<u64> = (0..n).map(task).collect();
-        let pool = Pool::with_jobs(workers).with_chunk(chunk);
+        let pool = Pool::with_jobs(workers);
         for _ in 0..3 {
             let parallel = pool.map_indexed(n, task);
             prop_assert_eq!(&parallel, &serial);
@@ -48,12 +47,11 @@ proptest! {
     /// runs still yields the serial output for any topology.
     #[test]
     fn map_indexed_scratch_bit_identical(
-        n in 0usize..400,
+        n in 0usize..1200,
         workers in 1usize..10,
-        chunk in 1usize..48,
     ) {
         let serial: Vec<u64> = (0..n).map(task).collect();
-        let pool = Pool::with_jobs(workers).with_chunk(chunk);
+        let pool = Pool::with_jobs(workers);
         let parallel = pool.map_indexed_scratch(
             n,
             Vec::<u64>::new,
@@ -76,7 +74,7 @@ proptest! {
 fn scratch_factory_runs_once_per_worker() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let made = AtomicUsize::new(0);
-    let pool = Pool::with_jobs(4).with_chunk(2);
+    let pool = Pool::with_jobs(4);
     let out = pool.map_indexed_scratch(
         1000,
         || {
@@ -90,4 +88,35 @@ fn scratch_factory_runs_once_per_worker() {
         (1..=4).contains(&factories),
         "scratch built {factories} times for 4 workers"
     );
+}
+
+/// A stalled task does not hold up the batch: while index 0 blocks, the
+/// other worker keeps claiming chunks and finishes every other index.
+/// With 12 tasks over 2 workers (12 < 2·8) every chunk is one index, so
+/// a handout that pinned each worker to a fixed half would leave
+/// indices 1..6 stuck behind index 0 and hit the deadline.
+#[test]
+fn a_stalled_task_does_not_gate_the_batch() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+    const N: usize = 12;
+    let done = AtomicUsize::new(0);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let out = Pool::with_jobs(2).map_indexed(N, |i| {
+        if i == 0 {
+            while done.load(Ordering::Acquire) < N - 1 {
+                assert!(
+                    Instant::now() < deadline,
+                    "index 0 stalled the batch: only {} of {} other indices ran",
+                    done.load(Ordering::Acquire),
+                    N - 1
+                );
+                std::thread::yield_now();
+            }
+        } else {
+            done.fetch_add(1, Ordering::Release);
+        }
+        i
+    });
+    assert_eq!(out, (0..N).collect::<Vec<_>>());
 }
