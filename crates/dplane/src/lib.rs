@@ -35,7 +35,8 @@ pub use flow::{FlowConfig, FlowTable, Touch};
 pub use io::{PacketIo, PcapReplay, VecIo};
 pub use metrics::{MetricsReport, ShardMetrics};
 pub use program::{
-    lower_ops, CompiledPart, Matcher, Op, Program, ProgramCache, ProgramProof, VerifyError,
+    lower_ops, proof_facts, CompiledPart, Matcher, Op, Program, ProgramCache, ProgramProof,
+    VerifyError,
 };
 pub use sim::DplaneEndpoint;
 
@@ -228,7 +229,7 @@ impl<C: Classifier> Dplane<C> {
     /// Export all counters.
     pub fn metrics(&self) -> MetricsReport {
         MetricsReport {
-            shards: vec![self.flows.metrics()],
+            table: self.flows.metrics(),
             flows_live: self.flows.len(),
             cache_hits: self.programs.hits(),
             cache_misses: self.programs.misses(),

@@ -3,14 +3,14 @@
 //! Counters are plain integers bumped on the packet path — no atomics,
 //! because a [`crate::FlowTable`] is driven from one thread and
 //! determinism is the contract. A plane reports its one flow table as
-//! the single entry of the report's `shards` array, next to the
-//! `totals` row folded from it.
+//! the single entry of the report's `shards` array, next to a `totals`
+//! row with the same counters.
 
 use std::collections::BTreeMap;
-use strata::report::esc;
+use strata::json::Json;
 use strata::CanonKey;
 
-/// Counters for one flow table (a shard of the report).
+/// Counters for one flow table.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Packets routed through this table's flows (both directions).
@@ -25,20 +25,6 @@ pub struct ShardMetrics {
     pub pass_through: u64,
     /// Strategy applications, keyed by compiled-program identity.
     pub applies: BTreeMap<CanonKey, u64>,
-}
-
-impl ShardMetrics {
-    /// Fold another shard's counters into this one.
-    pub fn merge(&mut self, other: &ShardMetrics) {
-        self.packets += other.packets;
-        self.flows_created += other.flows_created;
-        self.evicted_lru += other.evicted_lru;
-        self.evicted_idle += other.evicted_idle;
-        self.pass_through += other.pass_through;
-        for (key, n) in &other.applies {
-            *self.applies.entry(*key).or_insert(0) += n;
-        }
-    }
 }
 
 /// A point-in-time export of a data plane's counters.
@@ -57,8 +43,8 @@ impl ShardMetrics {
 /// `json_field_set_is_stable` below.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// One entry per flow table; a [`crate::Dplane`] has one.
-    pub shards: Vec<ShardMetrics>,
+    /// The plane's flow-table counters.
+    pub table: ShardMetrics,
     /// Live flow count at export time.
     pub flows_live: usize,
     /// Program-cache hits (a new flow reused a compiled program).
@@ -81,73 +67,61 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Fold all shards into one totals row.
+    /// The plane's counters, the report's `totals` row.
     pub fn totals(&self) -> ShardMetrics {
-        let mut total = ShardMetrics::default();
-        for shard in &self.shards {
-            total.merge(shard);
-        }
-        total
+        self.table.clone()
     }
 
-    /// Hand-rolled JSON (the workspace has no serde); keys are stable
-    /// and maps are ordered, so equal reports render equal bytes.
+    /// The report as one JSON object, written through
+    /// [`strata::json::Json`]; keys are stable and maps are ordered,
+    /// so equal reports render equal bytes. The flow table renders
+    /// twice: as shard 0 of `shards` and as `totals`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"shards\":[");
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        Json::object(|j| {
+            j.arr("shards", |j| {
+                j.item_obj(|j| {
+                    j.num("shard", 0);
+                    table_members(j, &self.table);
+                });
+            })
+            .obj("totals", |j| table_members(j, &self.table))
+            .num("flows_live", self.flows_live)
+            .obj("program_cache", |j| {
+                j.num("hits", self.cache_hits)
+                    .num("misses", self.cache_misses)
+                    .num("verify_rejects", self.verify_rejects);
+            })
+            .obj("strategies", |j| {
+                for (key, text) in &self.strategies {
+                    j.str(&key.to_string(), text);
+                }
+            });
+            // Service-path facts are presence-based: omitted entirely
+            // when absent (see the compatibility rule on the type).
+            if let Some(uptime) = self.uptime_ms {
+                j.num("uptime_ms", uptime);
             }
-            shard_json(&mut out, i, shard);
-        }
-        out.push_str("],\"totals\":");
-        shard_json(&mut out, usize::MAX, &self.totals());
-        out.push_str(&format!(
-            ",\"flows_live\":{},\"program_cache\":{{\"hits\":{},\"misses\":{},\"verify_rejects\":{}}}",
-            self.flows_live, self.cache_hits, self.cache_misses, self.verify_rejects
-        ));
-        out.push_str(",\"strategies\":{");
-        for (i, (key, text)) in self.strategies.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            if let Some(milli) = self.ingest_pps_milli {
+                j.num(
+                    "ingest_pps",
+                    format_args!("{}.{:03}", milli / 1000, milli % 1000),
+                );
             }
-            out.push_str(&format!("\"{key}\":\"{}\"", esc(text)));
-        }
-        out.push('}');
-        // Service-path facts are presence-based: omitted entirely when
-        // absent (see the compatibility rule on the type).
-        if let Some(uptime) = self.uptime_ms {
-            out.push_str(&format!(",\"uptime_ms\":{uptime}"));
-        }
-        if let Some(milli) = self.ingest_pps_milli {
-            out.push_str(&format!(
-                ",\"ingest_pps\":{}.{:03}",
-                milli / 1000,
-                milli % 1000
-            ));
-        }
-        out.push('}');
-        out
+        })
     }
 }
 
-fn shard_json(out: &mut String, index: usize, m: &ShardMetrics) {
-    out.push('{');
-    if index != usize::MAX {
-        out.push_str(&format!("\"shard\":{index},"));
-    }
-    out.push_str(&format!(
-        "\"packets\":{},\"flows_created\":{},\"evicted_lru\":{},\"evicted_idle\":{},\"pass_through\":{},\"applies\":{{",
-        m.packets, m.flows_created, m.evicted_lru, m.evicted_idle, m.pass_through
-    ));
-    for (i, (key, n)) in m.applies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{key}\":{n}"));
-    }
-    out.push_str("}}");
+fn table_members(j: &mut Json, m: &ShardMetrics) {
+    j.num("packets", m.packets)
+        .num("flows_created", m.flows_created)
+        .num("evicted_lru", m.evicted_lru)
+        .num("evicted_idle", m.evicted_idle)
+        .num("pass_through", m.pass_through)
+        .obj("applies", |j| {
+            for (key, n) in &m.applies {
+                j.num(&key.to_string(), n);
+            }
+        });
 }
 
 #[cfg(test)]
@@ -155,33 +129,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_fold_all_shards() {
-        let mut a = ShardMetrics {
-            packets: 3,
-            ..ShardMetrics::default()
-        };
-        a.applies.insert(CanonKey(1), 2);
-        let mut b = ShardMetrics {
-            packets: 4,
-            ..ShardMetrics::default()
-        };
-        b.applies.insert(CanonKey(1), 1);
-        b.applies.insert(CanonKey(2), 5);
-        let report = MetricsReport {
-            shards: vec![a, b],
-            ..MetricsReport::default()
-        };
-        let totals = report.totals();
-        assert_eq!(totals.packets, 7);
-        assert_eq!(totals.applies[&CanonKey(1)], 3);
-        assert_eq!(totals.applies[&CanonKey(2)], 5);
-    }
-
-    #[test]
     fn json_escapes_dsl_backslashes() {
-        assert_eq!(esc("a\\/b \"q\""), "a\\\\/b \\\"q\\\"");
         let report = MetricsReport {
-            shards: vec![ShardMetrics::default()],
             flows_live: 1,
             cache_hits: 2,
             cache_misses: 3,
@@ -248,7 +197,6 @@ mod tests {
     #[test]
     fn json_field_set_is_stable() {
         let offline = MetricsReport {
-            shards: vec![ShardMetrics::default()],
             ..MetricsReport::default()
         };
         assert_eq!(
@@ -263,7 +211,6 @@ mod tests {
             "offline field set must never change"
         );
         let service = MetricsReport {
-            shards: vec![ShardMetrics::default()],
             uptime_ms: Some(1234),
             ingest_pps_milli: Some(2500),
             ..MetricsReport::default()

@@ -244,6 +244,26 @@ pub struct Program {
     pub verdicts: Vec<(CensorId, Verdict)>,
 }
 
+/// The proof facts a [`Program::compile`] result shows in a `cay
+/// verify` report or a reload verdict: the discharged bounds, or the
+/// verifier's complaint.
+pub fn proof_facts(compiled: &Result<Program, VerifyError>) -> strata::ProgramFacts {
+    match compiled {
+        Ok(program) => strata::ProgramFacts {
+            verified: true,
+            error: None,
+            max_stack: program.proof.max_stack,
+            max_emit: program.proof.max_emit,
+        },
+        Err(e) => strata::ProgramFacts {
+            verified: false,
+            error: Some(e.to_string()),
+            max_stack: 0,
+            max_emit: 0,
+        },
+    }
+}
+
 impl Program {
     /// Canonicalize, compile, and *verify* a strategy: every compiled
     /// body must discharge the stack-discipline, termination, and

@@ -34,21 +34,12 @@
 use crate::genome::Genome;
 use appproto::AppProtocol;
 use censor::Country;
+use harness::deploy::censor_id;
 use harness::{cell_tag, derive_trial_seed, pool, run_trial, Pool, TrialConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use strata::censor_model::{check, CensorId, Verdict};
 use strata::{canonicalize_strategy, lint_with_context, summarize, LintContext, Severity};
-
-/// The censor automaton guarding a country's traffic.
-fn censor_of(country: Country) -> CensorId {
-    match country {
-        Country::China => CensorId::Gfw,
-        Country::India => CensorId::Airtel,
-        Country::Iran => CensorId::Iran,
-        Country::Kazakhstan => CensorId::Kazakhstan,
-    }
-}
 
 /// One genome's evaluated fitness.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,7 +163,7 @@ impl FitnessCache {
             prefilter: country
                 .censored_protocols()
                 .contains(&protocol)
-                .then(|| censor_of(country)),
+                .then(|| censor_id(country)),
             seed,
             jobs: None,
             cache: HashMap::new(),

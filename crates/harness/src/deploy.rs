@@ -18,6 +18,7 @@ use geneva::library::{self, NamedStrategy};
 use geneva::Strategy;
 use std::fmt;
 use std::sync::Arc;
+use strata::CensorId;
 
 /// A (prefix, mask-length, country) entry — a toy GeoIP row.
 #[derive(Debug, Clone, Copy)]
@@ -198,6 +199,17 @@ impl GeoTable {
 /// hold a [`GeoTable`]).
 pub fn locate(addr: [u8; 4], table: &[GeoEntry]) -> Option<Country> {
     GeoTable::new(table.iter().copied()).locate(addr)
+}
+
+/// The censor model that governs a geo-located country's clients:
+/// the automaton the product model checker proves verdicts against.
+pub fn censor_id(country: Country) -> CensorId {
+    match country {
+        Country::China => CensorId::Gfw,
+        Country::India => CensorId::Airtel,
+        Country::Iran => CensorId::Iran,
+        Country::Kazakhstan => CensorId::Kazakhstan,
+    }
 }
 
 /// The paper's Table-2-derived ranking: the best strategies for a

@@ -50,14 +50,12 @@ pub mod deploy;
 pub mod experiments;
 pub mod pool;
 pub mod rates;
-pub mod screen;
 pub mod seed;
 pub mod trial;
 pub mod waterfall;
 
 pub use pool::{Pool, Throughput};
 pub use rates::{success_rate, success_rate_in, success_rate_tagged, RateEstimate};
-pub use screen::{context_for, ScreenedTrial, Screener};
 pub use seed::{cell_tag, derive_trial_seed};
 pub use trial::{
     run_trial, run_trial_scratch, CensorVariant, TrialConfig, TrialResult, TrialScratch,

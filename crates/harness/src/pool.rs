@@ -35,6 +35,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
+use strata::json::Json;
 
 /// Process-wide default job count; 0 = auto (available parallelism).
 static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -195,8 +196,8 @@ impl Pool {
 }
 
 /// Wall-clock + trial-count instrumentation for one run, emitted as
-/// JSON so `BENCH_*.json` trajectories can track throughput across
-/// PRs.
+/// JSON (through [`strata::json::Json`]) so `BENCH_*.json`
+/// trajectories can track throughput across changes.
 #[derive(Debug, Clone)]
 pub struct Throughput {
     /// What ran (experiment or subcommand name).
@@ -237,23 +238,19 @@ impl Throughput {
         )
     }
 
-    /// Render as one JSON object (hand-rolled; the workspace is
-    /// offline and carries no serde).
+    /// Render as one JSON object.
     pub fn to_json(&self) -> String {
-        format!("{{{}}}", self.json_fields())
+        Json::object(|j| self.json_members(j))
     }
 
-    /// The members of [`Throughput::to_json`]'s object without the
-    /// braces, so a caller can append its own members.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"label\":\"{}\",\"trials\":{},\"wall_ms\":{:.1},\"trials_per_sec\":{:.1},\"workers\":{}",
-            self.label.replace('"', "'"),
-            self.trials,
-            self.wall_ms,
-            self.trials_per_sec,
-            self.workers
-        )
+    /// Write [`Throughput::to_json`]'s members into `j`, so a caller
+    /// can append its own members to the same object.
+    pub fn json_members(&self, j: &mut Json) {
+        j.str("label", &self.label)
+            .num("trials", self.trials)
+            .num("wall_ms", format_args!("{:.1}", self.wall_ms))
+            .num("trials_per_sec", format_args!("{:.1}", self.trials_per_sec))
+            .num("workers", self.workers);
     }
 }
 
@@ -297,6 +294,21 @@ mod tests {
         let pool = Pool::with_jobs(8);
         assert_eq!(pool.map_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.map_indexed(1, |i| i + 41), vec![41]);
+    }
+
+    #[test]
+    fn throughput_json_matches_the_golden() {
+        let t = Throughput {
+            label: "table2".into(),
+            trials: 1200,
+            wall_ms: 1234.56,
+            trials_per_sec: 972.0483,
+            workers: 8,
+        };
+        assert_eq!(
+            t.to_json(),
+            "{\"label\":\"table2\",\"trials\":1200,\"wall_ms\":1234.6,\"trials_per_sec\":972.0,\"workers\":8}"
+        );
     }
 
     #[test]

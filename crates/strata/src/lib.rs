@@ -23,7 +23,8 @@
 //! censors plus a product-construction checker over the `absint`
 //! summaries, yielding three-valued per-censor verdicts. [`report`]
 //! renders the combined verdicts as text, JSON, or SARIF for
-//! `cay verify`.
+//! `cay verify`, writing JSON through [`json::Json`], the workspace's
+//! one JSON writer.
 
 #![forbid(unsafe_code)]
 
@@ -31,6 +32,7 @@ pub mod absint;
 pub mod canon;
 pub mod censor_model;
 pub mod diagnostics;
+pub mod json;
 pub mod lints;
 pub mod report;
 pub mod unsafe_scan;

@@ -2,12 +2,13 @@
 //! emitted as human-readable text, plain JSON, or SARIF 2.1.0 (the
 //! static-analysis interchange format CI annotators consume).
 //!
-//! JSON is hand-rolled — the workspace deliberately carries no serde —
-//! mirroring the `dplane::metrics` idiom.
+//! JSON and SARIF are written through [`crate::json::Json`], the
+//! workspace's one JSON writer.
 
 use crate::canon::CanonKey;
 use crate::censor_model::{CensorId, Verdict};
 use crate::diagnostics::{line_col, Diagnostic, Severity};
+use crate::json::Json;
 use crate::lints::AMPLIFICATION_LIMIT;
 use crate::unsafe_scan::UnsafeScanReport;
 
@@ -175,99 +176,64 @@ pub fn render_verdict_matrix(entries: &[ReportEntry]) -> String {
     out
 }
 
-/// Minimal JSON string escaping — strategy DSL text contains `\` and
-/// could contain `"` via replace values.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn opt_str(s: &Option<String>) -> String {
-    match s {
-        Some(s) => format!("\"{}\"", esc(s)),
-        None => "null".into(),
-    }
-}
-
 /// Plain JSON report: `{"strategies": [...], "failing": n}`.
 pub fn render_json(entries: &[ReportEntry]) -> String {
-    let items: Vec<String> = entries.iter().map(entry_json).collect();
     let failing = entries.iter().filter(|e| e.failing()).count();
-    format!(
-        "{{\"strategies\":[{}],\"failing\":{}}}\n",
-        items.join(","),
-        failing
-    )
+    Json::object(|j| {
+        entry_array(j, entries);
+        j.num("failing", failing);
+    }) + "\n"
 }
 
-/// One [`ReportEntry`] as a JSON object — shared by [`render_json`]
-/// and the control plane's reload responses ([`render_reload_json`]).
-fn entry_json(e: &ReportEntry) -> String {
-    {
-        let diags: Vec<String> = e
-            .diagnostics
-            .iter()
-            .map(|d| {
+/// The `strategies` array of [`ReportEntry`] objects — shared by
+/// [`render_json`] and the control plane's reload responses
+/// ([`render_reload_json`]).
+fn entry_array(j: &mut Json, entries: &[ReportEntry]) {
+    j.arr("strategies", |j| {
+        for e in entries {
+            j.item_obj(|j| entry_members(j, e));
+        }
+    });
+}
+
+fn entry_members(j: &mut Json, e: &ReportEntry) {
+    j.str("label", &e.label)
+        .str("source", &e.source)
+        .str("canonical", &e.canonical)
+        .str("key", &e.key.to_string())
+        .num("statically_futile", e.statically_futile)
+        .arr("diagnostics", |j| {
+            for d in &e.diagnostics {
                 let (line, col) = line_col(&e.source, d.span.start);
-                format!(
-                    "{{\"severity\":\"{}\",\"code\":\"{}\",\"start\":{},\"end\":{},\
-                     \"line\":{line},\"col\":{col},\"message\":\"{}\",\
-                     \"suggestion\":{},\"proves_futile\":{}}}",
-                    d.severity,
-                    d.code,
-                    d.span.start,
-                    d.span.end,
-                    esc(&d.message),
-                    opt_str(&d.suggestion),
-                    d.proves_futile
-                )
-            })
-            .collect();
-        let program = match &e.program {
-            Some(p) => format!(
-                "{{\"verified\":{},\"error\":{},\"max_stack\":{},\"max_emit\":{}}}",
-                p.verified,
-                opt_str(&p.error),
-                p.max_stack,
-                p.max_emit
-            ),
-            None => "null".into(),
-        };
-        let verdicts: Vec<String> = e
-            .verdicts
-            .iter()
-            .map(|(id, v)| {
-                format!(
-                    "{{\"censor\":\"{}\",\"verdict\":\"{}\"}}",
-                    id.name(),
-                    v.token()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"label\":\"{}\",\"source\":\"{}\",\"canonical\":\"{}\",\"key\":\"{}\",\
-             \"statically_futile\":{},\"diagnostics\":[{}],\"verdicts\":[{}],\"program\":{}}}",
-            esc(&e.label),
-            esc(&e.source),
-            esc(&e.canonical),
-            e.key,
-            e.statically_futile,
-            diags.join(","),
-            verdicts.join(","),
-            program
-        )
-    }
+                j.item_obj(|j| {
+                    j.str("severity", &d.severity.to_string())
+                        .str("code", d.code)
+                        .num("start", d.span.start)
+                        .num("end", d.span.end)
+                        .num("line", line)
+                        .num("col", col)
+                        .str("message", &d.message)
+                        .str_or_null("suggestion", d.suggestion.as_deref())
+                        .num("proves_futile", d.proves_futile);
+                });
+            }
+        })
+        .arr("verdicts", |j| {
+            for (id, v) in &e.verdicts {
+                j.item_obj(|j| {
+                    j.str("censor", id.name()).str("verdict", v.token());
+                });
+            }
+        });
+    match &e.program {
+        Some(p) => j.obj("program", |j| {
+            j.num("verified", p.verified)
+                .str_or_null("error", p.error.as_deref())
+                .num("max_stack", p.max_stack)
+                .num("max_emit", p.max_emit);
+        }),
+        None => j.str_or_null("program", None),
+    };
 }
 
 /// The hot-reload verdict document served by `POST /config`: whether
@@ -278,44 +244,113 @@ fn entry_json(e: &ReportEntry) -> String {
 /// into *why* the old program stayed live, so it carries the same
 /// entry detail as `cay verify --format json`.
 pub fn render_reload_json(applied: bool, entries: &[ReportEntry], error: Option<&str>) -> String {
-    let items: Vec<String> = entries.iter().map(entry_json).collect();
-    format!(
-        "{{\"applied\":{applied},\"error\":{},\"strategies\":[{}]}}\n",
-        opt_str(&error.map(String::from)),
-        items.join(",")
-    )
+    Json::object(|j| {
+        j.num("applied", applied).str_or_null("error", error);
+        entry_array(j, entries);
+    }) + "\n"
 }
 
-/// One SARIF result line. `properties` is a pre-rendered JSON object
-/// for the result's property bag, or empty for none.
-#[allow(clippy::too_many_arguments)] // flat mirror of the SARIF result shape
-fn sarif_result(
-    rule: &str,
-    level: &str,
-    message: &str,
-    uri: &str,
-    source: &str,
+/// One SARIF result: `rule` fired at bytes `start..end` of `source`,
+/// the text of the artifact `uri`.
+struct SarifResult<'a> {
+    rule: &'a str,
+    level: &'a str,
+    message: String,
+    uri: &'a str,
+    source: &'a str,
     start: usize,
     end: usize,
-    properties: &str,
-) -> String {
-    let (line, col) = line_col(source, start);
-    let props = if properties.is_empty() {
-        String::new()
-    } else {
-        format!(",\"properties\":{properties}")
-    };
-    format!(
-        "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\"message\":{{\"text\":\"{}\"}},\
-         \"locations\":[{{\"physicalLocation\":{{\
-         \"artifactLocation\":{{\"uri\":\"{}\"}},\
-         \"region\":{{\"startLine\":{line},\"startColumn\":{col},\
-         \"charOffset\":{start},\"charLength\":{}}}}}}}]{props}}}",
-        esc(rule),
-        esc(message),
-        esc(uri),
-        end.saturating_sub(start)
-    )
+    /// Per-censor verdicts for the result's property bag; empty for
+    /// none.
+    verdicts: &'a [(CensorId, Verdict)],
+}
+
+impl SarifResult<'_> {
+    /// A result spanning all of entry `e`'s source.
+    fn whole<'a>(
+        rule: &'a str,
+        level: &'a str,
+        message: String,
+        e: &'a ReportEntry,
+    ) -> SarifResult<'a> {
+        SarifResult {
+            rule,
+            level,
+            message,
+            uri: &e.label,
+            source: &e.source,
+            start: 0,
+            end: e.source.len(),
+            verdicts: &[],
+        }
+    }
+
+    fn members(&self, j: &mut Json) {
+        let (line, col) = line_col(self.source, self.start);
+        j.str("ruleId", self.rule)
+            .str("level", self.level)
+            .obj("message", |j| {
+                j.str("text", &self.message);
+            })
+            .arr("locations", |j| {
+                j.item_obj(|j| {
+                    j.obj("physicalLocation", |j| {
+                        j.obj("artifactLocation", |j| {
+                            j.str("uri", self.uri);
+                        })
+                        .obj("region", |j| {
+                            j.num("startLine", line)
+                                .num("startColumn", col)
+                                .num("charOffset", self.start)
+                                .num("charLength", self.end.saturating_sub(self.start));
+                        });
+                    });
+                });
+            });
+        if !self.verdicts.is_empty() {
+            j.obj("properties", |j| {
+                j.obj("verdicts", |j| {
+                    for (id, v) in self.verdicts {
+                        j.str(id.name(), v.token());
+                    }
+                });
+            });
+        }
+    }
+}
+
+/// A SARIF 2.1.0 document from the `cay-verify` tool driver: `rules`
+/// (each with its [`rule_help`] metadata) and `results`.
+fn sarif_doc(rules: &[&str], results: &[SarifResult]) -> String {
+    Json::object(|j| {
+        j.str("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
+            .str("version", "2.1.0")
+            .arr("runs", |j| {
+                j.item_obj(|j| {
+                    j.obj("tool", |j| {
+                        j.obj("driver", |j| {
+                            j.str("name", "cay-verify").arr("rules", |j| {
+                                for id in rules {
+                                    let (description, help_uri) = rule_help(id);
+                                    j.item_obj(|j| {
+                                        j.str("id", id)
+                                            .obj("fullDescription", |j| {
+                                                j.str("text", description);
+                                            })
+                                            .str("helpUri", help_uri);
+                                    });
+                                }
+                            });
+                        });
+                    })
+                    .arr("results", |j| {
+                        for r in results {
+                            j.item_obj(|j| r.members(j));
+                        }
+                    });
+                });
+            });
+    }) + "\n"
 }
 
 /// Rule metadata for the SARIF `tool.driver.rules` table: a
@@ -423,11 +458,6 @@ fn rule_help(id: &str) -> (&'static str, &'static str) {
 /// `fullDescription` and a `helpUri` into `DESIGN.md`.
 pub fn render_sarif(entries: &[ReportEntry]) -> String {
     let mut rules: Vec<&str> = Vec::new();
-    let note_rule = |rules: &mut Vec<&str>, id: &'static str| {
-        if !rules.contains(&id) {
-            rules.push(id);
-        }
-    };
     let mut results = Vec::new();
     for e in entries {
         for d in &e.diagnostics {
@@ -435,103 +465,67 @@ pub fn render_sarif(entries: &[ReportEntry]) -> String {
                 Severity::Warning => "warning",
                 Severity::Error => "error",
             };
-            results.push(sarif_result(
-                d.code,
+            rules.push(d.code);
+            results.push(SarifResult {
+                rule: d.code,
                 level,
-                &d.message,
-                &e.label,
-                &e.source,
-                d.span.start,
-                d.span.end,
-                "",
-            ));
+                message: d.message.clone(),
+                uri: &e.label,
+                source: &e.source,
+                start: d.span.start,
+                end: d.span.end,
+                verdicts: &[],
+            });
         }
         if !e.verdicts.is_empty() {
-            note_rule(&mut rules, "censor-verdict");
             let summary: Vec<String> = e
                 .verdicts
                 .iter()
                 .map(|(id, v)| format!("{}={}", id.name(), v.token()))
                 .collect();
-            let props: Vec<String> = e
-                .verdicts
-                .iter()
-                .map(|(id, v)| format!("\"{}\":\"{}\"", id.name(), v.token()))
-                .collect();
-            results.push(sarif_result(
-                "censor-verdict",
-                "note",
-                &format!("per-censor static verdicts: {}", summary.join(", ")),
-                &e.label,
-                &e.source,
-                0,
-                e.source.len(),
-                &format!("{{\"verdicts\":{{{}}}}}", props.join(",")),
-            ));
+            rules.push("censor-verdict");
+            results.push(SarifResult {
+                verdicts: &e.verdicts,
+                ..SarifResult::whole(
+                    "censor-verdict",
+                    "note",
+                    format!("per-censor static verdicts: {}", summary.join(", ")),
+                    e,
+                )
+            });
         }
         match &e.program {
             Some(p) if !p.verified => {
-                note_rule(&mut rules, "program-verify-failed");
-                results.push(sarif_result(
+                rules.push("program-verify-failed");
+                results.push(SarifResult::whole(
                     "program-verify-failed",
                     "error",
-                    &format!(
+                    format!(
                         "compiled program failed verification: {}",
                         p.error.as_deref().unwrap_or("unknown")
                     ),
-                    &e.label,
-                    &e.source,
-                    0,
-                    e.source.len(),
-                    "",
+                    e,
                 ));
             }
             Some(p) if p.max_emit >= AMPLIFICATION_LIMIT => {
-                note_rule(&mut rules, "program-amplification");
-                results.push(sarif_result(
+                rules.push("program-amplification");
+                results.push(SarifResult::whole(
                     "program-amplification",
                     "warning",
-                    &format!(
+                    format!(
                         "proved worst-case emission bound {} meets the amplification \
                          threshold {AMPLIFICATION_LIMIT}",
                         p.max_emit
                     ),
-                    &e.label,
-                    &e.source,
-                    0,
-                    e.source.len(),
-                    "",
+                    e,
                 ));
             }
             _ => {}
         }
     }
-    for e in entries {
-        for d in &e.diagnostics {
-            note_rule(&mut rules, d.code);
-        }
-    }
     rules.sort_unstable();
-    let rules_json: Vec<String> = rules
-        .iter()
-        .map(|id| {
-            let (description, help_uri) = rule_help(id);
-            format!(
-                "{{\"id\":\"{}\",\"fullDescription\":{{\"text\":\"{}\"}},\
-                 \"helpUri\":\"{}\"}}",
-                esc(id),
-                esc(description),
-                esc(help_uri)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
-         \"name\":\"cay-verify\",\"rules\":[{}]}}}},\"results\":[{}]}}]}}\n",
-        rules_json.join(","),
-        results.join(",")
-    )
+    rules.dedup();
+    sarif_doc(&rules, &results)
 }
 
 /// Human-readable unsafe-confinement report.
@@ -560,65 +554,48 @@ pub fn render_unsafe_text(report: &UnsafeScanReport) -> String {
 
 /// Plain JSON unsafe-confinement report.
 pub fn render_unsafe_json(report: &UnsafeScanReport) -> String {
-    let allowed: Vec<String> = report
-        .allowed_files
-        .iter()
-        .map(|f| format!("\"{}\"", esc(f)))
-        .collect();
-    let findings: Vec<String> = report
-        .findings
-        .iter()
-        .map(|f| {
-            let (line, col) = line_col(&f.source, f.offset);
-            format!(
-                "{{\"file\":\"{}\",\"offset\":{},\"line\":{line},\"col\":{col},\
-                 \"excerpt\":\"{}\"}}",
-                esc(&f.file),
-                f.offset,
-                esc(&f.excerpt)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"files_scanned\":{},\"allowed_files\":[{}],\"findings\":[{}],\"clean\":{}}}\n",
-        report.files_scanned,
-        allowed.join(","),
-        findings.join(","),
-        report.clean()
-    )
+    Json::object(|j| {
+        j.num("files_scanned", report.files_scanned)
+            .arr("allowed_files", |j| {
+                for f in &report.allowed_files {
+                    j.item_str(f);
+                }
+            })
+            .arr("findings", |j| {
+                for f in &report.findings {
+                    let (line, col) = line_col(&f.source, f.offset);
+                    j.item_obj(|j| {
+                        j.str("file", &f.file)
+                            .num("offset", f.offset)
+                            .num("line", line)
+                            .num("col", col)
+                            .str("excerpt", &f.excerpt);
+                    });
+                }
+            })
+            .num("clean", report.clean());
+    }) + "\n"
 }
 
 /// SARIF 2.1.0 unsafe-confinement report: one `unsafe-confinement`
 /// result per escaped keyword, under the same tool driver as the
 /// strategy reports so CI annotators treat both uniformly.
 pub fn render_unsafe_sarif(report: &UnsafeScanReport) -> String {
-    let results: Vec<String> = report
+    let results: Vec<SarifResult> = report
         .findings
         .iter()
-        .map(|f| {
-            sarif_result(
-                "unsafe-confinement",
-                "error",
-                &format!("keyword escaped the audited files: {}", f.excerpt),
-                &f.file,
-                &f.source,
-                f.offset,
-                f.offset + f.len,
-                "",
-            )
+        .map(|f| SarifResult {
+            rule: "unsafe-confinement",
+            level: "error",
+            message: format!("keyword escaped the audited files: {}", f.excerpt),
+            uri: &f.file,
+            source: &f.source,
+            start: f.offset,
+            end: f.offset + f.len,
+            verdicts: &[],
         })
         .collect();
-    let (description, help_uri) = rule_help("unsafe-confinement");
-    format!(
-        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
-         \"name\":\"cay-verify\",\"rules\":[{{\"id\":\"unsafe-confinement\",\
-         \"fullDescription\":{{\"text\":\"{}\"}},\"helpUri\":\"{}\"}}]}}}},\
-         \"results\":[{}]}}]}}\n",
-        esc(description),
-        esc(help_uri),
-        results.join(",")
-    )
+    sarif_doc(&["unsafe-confinement"], &results)
 }
 
 #[cfg(test)]

@@ -25,10 +25,10 @@
 //! post-reload flows hit without skewing hit/miss parity against an
 //! offline run.
 
-use dplane::Program;
-use harness::deploy::{GeoTable, RolloutTable};
+use dplane::{proof_facts, Program};
+use harness::deploy::{censor_id, GeoTable, RolloutTable};
 use std::sync::Arc;
-use strata::censor_model::{CensorId, Verdict};
+use strata::censor_model::Verdict;
 use strata::report::render_reload_json;
 
 use crate::{unpoisoned, SvcShared};
@@ -44,16 +44,6 @@ pub struct ReloadOutcome {
     pub body: String,
     /// On success, the vetted table and its compiled programs.
     pub table: Option<(RolloutTable, Vec<Arc<Program>>)>,
-}
-
-/// The censor-model identity for a geo-located country.
-pub fn censor_id(country: censor::Country) -> CensorId {
-    match country {
-        censor::Country::China => CensorId::Gfw,
-        censor::Country::India => CensorId::Airtel,
-        censor::Country::Iran => CensorId::Iran,
-        censor::Country::Kazakhstan => CensorId::Kazakhstan,
-    }
 }
 
 /// Vet a config body without touching any live state.
@@ -91,26 +81,15 @@ pub fn vet_config(text: &str, geo: &GeoTable, protocol: appproto::AppProtocol) -
                 arm.percent
             );
             let analysis = strata::analyze(&arm.strategy);
-            let facts;
+            let compiled = Program::compile(&arm.strategy);
+            let facts = proof_facts(&compiled);
             let mut verdicts = Vec::new();
-            match Program::compile(&arm.strategy) {
+            match compiled {
                 Ok(program) => {
-                    facts = strata::ProgramFacts {
-                        verified: true,
-                        error: None,
-                        max_stack: program.proof.max_stack,
-                        max_emit: program.proof.max_emit,
-                    };
                     verdicts.clone_from(&program.verdicts);
                     programs.push(Arc::new(program));
                 }
                 Err(e) => {
-                    facts = strata::ProgramFacts {
-                        verified: false,
-                        error: Some(e.to_string()),
-                        max_stack: 0,
-                        max_emit: 0,
-                    };
                     if refusal.is_none() {
                         refusal = Some(format!("{label}: absint refused: {e}"));
                     }

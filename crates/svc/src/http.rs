@@ -24,6 +24,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
+use strata::json::Json;
 
 /// Cap on a request (line + headers + body) — config bodies are DSL
 /// text, kilobytes at most.
@@ -249,45 +250,52 @@ fn handle(stream: &mut TcpStream, shared: &SvcShared) {
 fn status_json(shared: &SvcShared) -> String {
     let snapshot = unpoisoned(shared.snapshot.lock()).clone();
     let bridge = *unpoisoned(shared.bridge_stats.lock());
-    let uptime_ms = snapshot.uptime_ms.unwrap_or(0);
     let pps_milli = snapshot.ingest_pps_milli.unwrap_or(0);
-    let fpb: Vec<String> = bridge.frames_per_batch.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"service\":\"cay-serve\",\"uptime_ms\":{uptime_ms},\"draining\":{},\
-         \"packets\":{},\"ingest_pps\":{}.{:03},\"flows_live\":{},\
-         \"rollout_rules\":{},\"reloads\":{},\"reload_rejects\":{},\
-         \"bridge\":{{\"backend\":\"epoll\",\"frames_in\":{},\"frames_out\":{},\
-         \"parse_errors\":{},\"unroutable\":{},\"tcp_accepted\":{},\
-         \"syscalls\":{},\"recv_batches\":{},\"frames_per_batch\":[{}],\
-         \"egress_backpressure_events\":{},\"gso_sends\":{},\"gso_frames\":{},\
-         \"gso_fallbacks\":{}}}}}\n",
-        shared.draining.load(Ordering::Relaxed),
-        shared.packets.load(Ordering::Relaxed),
-        pps_milli / 1000,
-        pps_milli % 1000,
-        snapshot.flows_live,
-        shared.rollout_rules(),
-        shared.reloads.load(Ordering::Relaxed),
-        shared.reload_rejects.load(Ordering::Relaxed),
-        bridge.frames_in,
-        bridge.frames_out,
-        bridge.parse_errors,
-        bridge.unroutable,
-        bridge.tcp_accepted,
-        bridge.syscalls,
-        bridge.recv_batches,
-        fpb.join(","),
-        bridge.egress_backpressure_events,
-        bridge.gso_sends,
-        bridge.gso_frames,
-        bridge.gso_fallbacks,
-    )
+    Json::object(|j| {
+        j.str("service", "cay-serve")
+            .num("uptime_ms", snapshot.uptime_ms.unwrap_or(0))
+            .num("draining", shared.draining.load(Ordering::Relaxed))
+            .num("packets", shared.packets.load(Ordering::Relaxed))
+            .num(
+                "ingest_pps",
+                format_args!("{}.{:03}", pps_milli / 1000, pps_milli % 1000),
+            )
+            .num("flows_live", snapshot.flows_live)
+            .num("rollout_rules", shared.rollout_rules())
+            .num("reloads", shared.reloads.load(Ordering::Relaxed))
+            .num(
+                "reload_rejects",
+                shared.reload_rejects.load(Ordering::Relaxed),
+            )
+            .obj("bridge", |j| {
+                j.str("backend", "epoll")
+                    .num("frames_in", bridge.frames_in)
+                    .num("frames_out", bridge.frames_out)
+                    .num("parse_errors", bridge.parse_errors)
+                    .num("unroutable", bridge.unroutable)
+                    .num("tcp_accepted", bridge.tcp_accepted)
+                    .num("syscalls", bridge.syscalls)
+                    .num("recv_batches", bridge.recv_batches)
+                    .arr("frames_per_batch", |j| {
+                        for n in bridge.frames_per_batch {
+                            j.item_num(n);
+                        }
+                    })
+                    .num(
+                        "egress_backpressure_events",
+                        bridge.egress_backpressure_events,
+                    )
+                    .num("gso_sends", bridge.gso_sends)
+                    .num("gso_frames", bridge.gso_frames)
+                    .num("gso_fallbacks", bridge.gso_fallbacks);
+            });
+    }) + "\n"
 }
 
 /// Prometheus text exposition (v0.0.4) of the same counters `/metrics`
 /// serves as JSON, plus the service-level ones.
 pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String {
-    let totals = report.totals();
+    let totals = &report.table;
     let mut out = String::with_capacity(1024);
     let mut counter = |name: &str, help: &str, value: u64| {
         out.push_str(&format!(
@@ -454,6 +462,66 @@ mod tests {
     fn incomplete_body_is_not_a_request_yet() {
         let raw = b"POST /config HTTP/1.1\r\nContent-Length: 10\r\n\r\nhel";
         assert!(parse_request(raw).is_none(), "must wait for the full body");
+    }
+
+    /// Replace the number after each of `keys` with `0`: uptime and the
+    /// ingest rate derive from wall-clock time; everything else is
+    /// fixed by the packets pumped.
+    fn mask(body: &str, keys: &[&str]) -> String {
+        let mut body = body.to_string();
+        for key in keys {
+            let at = body.find(key).unwrap() + key.len();
+            let len = body[at..]
+                .find(|c: char| !c.is_ascii_digit() && c != '.')
+                .unwrap();
+            body.replace_range(at..at + len, "0");
+        }
+        body
+    }
+
+    /// `/status`, `/metrics` and `/metrics?format=prometheus` of a core
+    /// that has pumped a few flows render exactly the committed bytes
+    /// (clock-derived numbers masked).
+    #[test]
+    fn core_documents_match_the_golden() {
+        use packet::{Packet, TcpFlags};
+        let http = appproto::AppProtocol::Http;
+        let server = [93, 184, 216, 34];
+        let geo = harness::deploy::demo_geo_entries();
+        let mut core = crate::Core::new(crate::CoreConfig {
+            dplane: dplane::DplaneConfig::default(),
+            server_addr: server,
+            protocol: http,
+            rollout: harness::deploy::RolloutTable::from_geo(&geo, http),
+            geo,
+        });
+        // China, Kazakhstan, and a client no geo entry covers.
+        let mut packets = Vec::new();
+        for client in [[10, 7, 1, 2], [10, 77, 1, 2], [172, 16, 1, 2]] {
+            for mut p in [
+                Packet::tcp(client, 40_000, server, 80, TcpFlags::SYN, 1, 0, vec![]),
+                Packet::tcp(server, 80, client, 40_000, TcpFlags::SYN_ACK, 1, 0, vec![]),
+            ] {
+                p.finalize();
+                packets.push((10, p));
+            }
+        }
+        core.pump(&mut dplane::VecIo::new(packets));
+        let shared = &core.shared;
+        let report = unpoisoned(shared.snapshot.lock()).clone();
+        let documents = format!(
+            "{}{}\n{}",
+            mask(&status_json(shared), &["\"uptime_ms\":", "\"ingest_pps\":"]),
+            mask(&report.to_json(), &["\"uptime_ms\":", "\"ingest_pps\":"]),
+            mask(
+                &prometheus(shared, &report),
+                &["\ncay_uptime_ms ", "\ncay_ingest_pps "]
+            )
+        );
+        assert_eq!(
+            documents,
+            include_str!("../tests/golden/core_documents.txt")
+        );
     }
 
     #[test]

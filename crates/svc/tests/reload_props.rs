@@ -210,3 +210,46 @@ fn provably_inert_reload_is_refused_for_governed_prefix() {
     // geo entry exists, the censor gate cannot fire.
     assert_eq!(core.shared.reload_rejects.load(Ordering::Relaxed), 1);
 }
+
+/// The `POST /config` verdict bodies are a public interface: an
+/// applied table, a futility refusal, a censor-inertness refusal and a
+/// parse error each render exactly the committed document.
+#[test]
+fn reload_verdict_bodies_match_the_committed_goldens() {
+    let geo = harness::deploy::GeoTable::new(demo_geo_entries());
+    let http = appproto::AppProtocol::Http;
+    let cases = [
+        (
+            "applied",
+            200,
+            "# A/B for China, one arm for Kazakhstan\n\
+             10.7.0.0/16 60 [TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},tamper{TCP:flags:replace:S})-| \\/\n\
+             10.7.0.0/16 40 [TCP:flags:SA]-tamper{TCP:window:replace:10}(tamper{TCP:options-wscale:replace:},)-| \\/\n\
+             10.77.0.0/16 100 [TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:},)-| \\/\n",
+            include_str!("golden/reload_applied.json"),
+        ),
+        (
+            "futile",
+            422,
+            "10.7.0.0/16 100 [TCP:flags:SA]-tamper{TCP:load:replace:a\"b}(drop,)-| \\/\n",
+            include_str!("golden/reload_futile.json"),
+        ),
+        (
+            "inert",
+            422,
+            "10.91.0.0/16 100 [TCP:flags:SA]-duplicate(,)-| \\/\n",
+            include_str!("golden/reload_inert.json"),
+        ),
+        (
+            "parse error",
+            400,
+            "10.7.0.0/16 100 [TCP:flags:SA]-duplicate(\n",
+            include_str!("golden/reload_parse_error.json"),
+        ),
+    ];
+    for (name, status, config, golden) in cases {
+        let outcome = svc::vet_config(config, &geo, http);
+        assert_eq!(outcome.status, status, "{name}: {}", outcome.body);
+        assert_eq!(outcome.body, golden, "{name}");
+    }
+}

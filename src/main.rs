@@ -55,6 +55,7 @@ use harness::{run_trial, success_rate, Throughput, TrialConfig};
 use packet::{Packet, TcpFlags};
 use std::sync::Arc;
 use std::time::Instant;
+use strata::json::Json;
 
 /// The public server address every simulated exchange targets.
 const SERVER_ADDR: [u8; 4] = [93, 184, 216, 34];
@@ -72,23 +73,17 @@ fn allocs_now() -> u64 {
     bench::alloc_count().unwrap_or(0)
 }
 
-/// Render an allocations-per-unit ratio, `null` when not counting.
-fn allocs_json(delta: u64, units: f64) -> String {
-    if bench::alloc_count().is_some() && units > 0.0 {
-        format!("{:.3}", delta as f64 / units)
-    } else {
-        "null".to_string()
-    }
+/// An allocations-per-unit ratio to three decimals; `None` (JSON
+/// `null`) when not counting.
+fn allocs_per(delta: u64, units: f64) -> Option<String> {
+    (bench::alloc_count().is_some() && units > 0.0).then(|| format!("{:.3}", delta as f64 / units))
 }
 
-/// Render a worker-scaling ratio, `null` below 2 effective cores: there
-/// extra workers time-share one core, so the ratio measures nothing.
-fn scaling_json(ratio: f64, effective_cores: usize) -> String {
-    if effective_cores < 2 {
-        "null".to_string()
-    } else {
-        format!("{ratio:.2}")
-    }
+/// A worker-scaling ratio to two decimals; `None` (JSON `null`) below
+/// 2 effective cores: there extra workers time-share one core, so the
+/// ratio measures nothing.
+fn scaling(ratio: f64, effective_cores: usize) -> Option<String> {
+    (effective_cores >= 2).then(|| format!("{ratio:.2}"))
 }
 
 fn main() {
@@ -468,20 +463,7 @@ fn verify_entry(
             .map(|&id| (id, strata::censor_model::check(&summary, id)))
             .collect()
     };
-    let program = match Program::compile(&strategy) {
-        Ok(program) => strata::ProgramFacts {
-            verified: true,
-            error: None,
-            max_stack: program.proof.max_stack,
-            max_emit: program.proof.max_emit,
-        },
-        Err(e) => strata::ProgramFacts {
-            verified: false,
-            error: Some(e.to_string()),
-            max_stack: 0,
-            max_emit: 0,
-        },
-    };
+    let program = dplane::proof_facts(&Program::compile(&strategy));
     Ok(strata::ReportEntry {
         label: label.to_string(),
         source: source.to_string(),
@@ -691,8 +673,16 @@ fn bench(args: &[String]) {
         if !worker_counts.contains(&auto) {
             worker_counts.push(auto);
         }
-        let mut runs: Vec<Throughput> = Vec::new();
-        let mut run_jsons = Vec::new();
+        // One run per jobs level: its throughput, allocations per
+        // trial and speedup, printed as it finishes and collected for
+        // the file.
+        type Run = (Throughput, Option<String>, Option<String>);
+        let mut runs: Vec<Run> = Vec::new();
+        let run_members = |j: &mut Json, (t, allocs, speedup): &Run| {
+            t.json_members(j);
+            j.num_or_null("allocs_per_trial", allocs.as_deref())
+                .num_or_null("speedup", speedup.as_deref());
+        };
         let mut estimates = Vec::new();
         for &workers in &worker_counts {
             let pool = harness::Pool::with_jobs(workers);
@@ -703,23 +693,17 @@ fn bench(args: &[String]) {
             let (estimate, mut t) = Throughput::measure(&format!("bench/jobs={workers}"), || {
                 harness::success_rate_in(&pool, &cfg, trials_per_run, 0xBE9C, tag)
             });
-            let allocs_per_trial = allocs_json(allocs_now() - a0, f64::from(trials_per_run));
+            let allocs_per_trial = allocs_per(allocs_now() - a0, f64::from(trials_per_run));
             t.workers = workers;
             // Per-level speedup vs this invocation's jobs=1 run
             // (the first ladder entry; 1.0 for the baseline itself).
             let speedup = match runs.first() {
-                Some(base) if t.wall_ms > 0.0 => base.wall_ms / t.wall_ms,
+                Some((base, ..)) if t.wall_ms > 0.0 => base.wall_ms / t.wall_ms,
                 _ => 1.0,
             };
-            let j = format!(
-                "{{{},\"allocs_per_trial\":{},\"speedup\":{}}}",
-                t.json_fields(),
-                allocs_per_trial,
-                scaling_json(speedup, effective_cores)
-            );
-            println!("{j}");
-            runs.push(t);
-            run_jsons.push(j);
+            let run = (t, allocs_per_trial, scaling(speedup, effective_cores));
+            println!("{}", Json::object(|j| run_members(j, &run)));
+            runs.push(run);
             estimates.push(estimate);
         }
         let identical = estimates.windows(2).all(|w| w[0] == w[1]);
@@ -728,31 +712,34 @@ fn bench(args: &[String]) {
         // jobs=8 speedup over the same-invocation jobs=1 baseline.
         let speedup_of = |workers: usize| -> f64 {
             runs.iter()
-                .rposition(|t| t.workers == workers)
+                .rposition(|(t, ..)| t.workers == workers)
                 .map_or(1.0, |i| {
-                    if i > 0 && runs[i].wall_ms > 0.0 {
-                        runs[0].wall_ms / runs[i].wall_ms
+                    if i > 0 && runs[i].0.wall_ms > 0.0 {
+                        runs[0].0.wall_ms / runs[i].0.wall_ms
                     } else {
                         1.0
                     }
                 })
         };
-        let scaling_factor = speedup_of(8);
-        let speedup = speedup_of(auto);
-        let json = format!(
-            "{{\"bench\":\"pool\",\"trials_per_run\":{},\"effective_cores\":{},\"estimates_identical\":{},\"scaling_factor\":{},\"speedup\":{},\"runs\":[{}]}}\n",
-            trials_per_run,
-            effective_cores,
-            identical,
-            scaling_json(scaling_factor, effective_cores),
-            scaling_json(speedup, effective_cores),
-            run_jsons.join(",")
-        );
+        let scaling_factor = scaling(speedup_of(8), effective_cores);
+        let json = Json::object(|j| {
+            j.str("bench", "pool")
+                .num("trials_per_run", trials_per_run)
+                .num("effective_cores", effective_cores)
+                .num("estimates_identical", identical)
+                .num_or_null("scaling_factor", scaling_factor.as_deref())
+                .num_or_null("speedup", scaling(speedup_of(auto), effective_cores))
+                .arr("runs", |j| {
+                    for run in &runs {
+                        j.item_obj(|j| run_members(j, run));
+                    }
+                });
+        }) + "\n";
         std::fs::write(&out_path, &json).expect("write bench json");
         println!(
             "wrote {out_path}: scaling_factor {} at jobs=8 \
              ({effective_cores} effective cores), estimates identical",
-            scaling_json(scaling_factor, effective_cores)
+            scaling_factor.as_deref().unwrap_or("null")
         );
     }
 
@@ -887,7 +874,7 @@ fn bench_dplane() -> String {
     interp_pass();
     let (interp_sink, secs, allocs) = timed(|| (0..reps).map(|_| interp_pass()).sum::<usize>());
     let interp_pps = applications / secs;
-    let interp_allocs = allocs_json(allocs, applications);
+    let interp_allocs = allocs_per(allocs, applications);
 
     // Per-packet compiled path, out + scratch reused across packets.
     let program = Program::compile(&strategy).expect("library strategy verifies");
@@ -905,7 +892,7 @@ fn bench_dplane() -> String {
     compiled_pass();
     let (compiled_sink, secs, allocs) = timed(|| (0..reps).map(|_| compiled_pass()).sum::<usize>());
     let compiled_pps = applications / secs;
-    let compiled_allocs = allocs_json(allocs, applications);
+    let compiled_allocs = allocs_per(allocs, applications);
     assert!(
         interp_sink > 0 && compiled_sink > 0,
         "bench produced no packets"
@@ -932,25 +919,28 @@ fn bench_dplane() -> String {
             .map(|replay| dp.pump(replay, SERVER_ADDR))
             .sum::<u64>()
     });
-    let plane = format!(
-        "{{\"packets\":{n},\"emitted\":{},\"pps\":{:.0},\"allocs_per_packet\":{}}}",
-        replays.iter().map(|r| r.emitted).sum::<u64>(),
-        n as f64 / secs,
-        allocs_json(allocs, n as f64),
-    );
+    let emitted: u64 = replays.iter().map(|r| r.emitted).sum();
 
     let effective_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    format!
-        ("{{\"bench\":\"dplane\",\"strategy\":{:?},\"count_allocs\":{},\"applications\":{:.0},\"interp_pps\":{:.0},\"interp_allocs_per_packet\":{},\"compiled_pps\":{:.0},\"compiled_allocs_per_packet\":{},\"compiled_speedup\":{:.2},\"effective_cores\":{},\"plane\":{}}}\n",
-        geneva::library::STRATEGY_1.name,
-        bench::alloc_count().is_some(),
-        applications,
-        interp_pps,
-        interp_allocs,
-        compiled_pps,
-        compiled_allocs,
-        compiled_pps / interp_pps.max(1e-9),
-        effective_cores,
-        plane,
-    )
+    Json::object(|j| {
+        j.str("bench", "dplane")
+            .str("strategy", geneva::library::STRATEGY_1.name)
+            .num("count_allocs", bench::alloc_count().is_some())
+            .num("applications", format_args!("{applications:.0}"))
+            .num("interp_pps", format_args!("{interp_pps:.0}"))
+            .num_or_null("interp_allocs_per_packet", interp_allocs)
+            .num("compiled_pps", format_args!("{compiled_pps:.0}"))
+            .num_or_null("compiled_allocs_per_packet", compiled_allocs)
+            .num(
+                "compiled_speedup",
+                format_args!("{:.2}", compiled_pps / interp_pps.max(1e-9)),
+            )
+            .num("effective_cores", effective_cores)
+            .obj("plane", |j| {
+                j.num("packets", n)
+                    .num("emitted", emitted)
+                    .num("pps", format_args!("{:.0}", n as f64 / secs))
+                    .num_or_null("allocs_per_packet", allocs_per(allocs, n as f64));
+            });
+    }) + "\n"
 }

@@ -99,3 +99,16 @@ fn server_first_capture_still_gets_the_clients_strategy() {
     assert!(totals.contains("\"pass_through\":0"), "{json}");
     assert!(!totals.contains("\"applies\":{}"), "{json}");
 }
+
+/// The synthetic workload's metrics document is pinned byte for byte:
+/// `cay dplane` output is a public interface.
+#[test]
+fn synthetic_workload_metrics_match_the_committed_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_cay"))
+        .arg("dplane")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let json = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(json, include_str!("golden/dplane_synthetic.json"));
+}

@@ -11,7 +11,7 @@
 //! fails our static analysis is, by definition, an analysis bug.
 
 use strata::censor_model::{check_all, Verdict};
-use strata::{ProgramFacts, ReportEntry, Severity};
+use strata::{ReportEntry, Severity};
 
 fn library_entries() -> Vec<ReportEntry> {
     geneva::library::server_side()
@@ -20,20 +20,7 @@ fn library_entries() -> Vec<ReportEntry> {
         .map(|named| {
             let strategy = named.strategy();
             let analysis = strata::analyze(&strategy);
-            let program = match dplane::Program::compile(&strategy) {
-                Ok(p) => ProgramFacts {
-                    verified: true,
-                    error: None,
-                    max_stack: p.proof.max_stack,
-                    max_emit: p.proof.max_emit,
-                },
-                Err(e) => ProgramFacts {
-                    verified: false,
-                    error: Some(e.to_string()),
-                    max_stack: 0,
-                    max_emit: 0,
-                },
-            };
+            let program = dplane::proof_facts(&dplane::Program::compile(&strategy));
             ReportEntry {
                 label: format!("library/{}", named.name),
                 source: named.text.to_string(),
@@ -126,6 +113,20 @@ fn verdict_matrix_matches_the_committed_snapshot() {
         matrix, golden,
         "\n-- actual --\n{matrix}\n-- committed --\n{golden}"
     );
+}
+
+/// `cay verify --library --censor all --format json|sarif` output is a
+/// public interface (CI uploads the SARIF for code-scanning): the
+/// library renders exactly the committed documents.
+#[test]
+fn json_and_sarif_match_the_committed_goldens() {
+    let entries = library_entries();
+    let json = strata::report::render_json(&entries);
+    let golden = include_str!("golden/verify_library.json");
+    assert_eq!(json, golden, "\n-- actual --\n{json}");
+    let sarif = strata::report::render_sarif(&entries);
+    let golden = include_str!("golden/verify_library.sarif");
+    assert_eq!(sarif, golden, "\n-- actual --\n{sarif}");
 }
 
 /// Acceptance bar for the model checker itself: across the whole
