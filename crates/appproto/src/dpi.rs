@@ -36,6 +36,14 @@ impl AppProtocol {
         ]
     }
 
+    /// Parse a case-insensitive protocol name (`dns`, `ftp`, `http`,
+    /// `https`, `smtp`).
+    pub fn parse(s: &str) -> Option<AppProtocol> {
+        AppProtocol::all()
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(s))
+    }
+
     /// Short display name matching the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -131,6 +139,16 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test code
     use super::*;
     use endpoint::ClientApp;
+
+    #[test]
+    fn parse_accepts_any_case_of_each_name() {
+        for p in AppProtocol::all() {
+            assert_eq!(AppProtocol::parse(p.name()), Some(p));
+            assert_eq!(AppProtocol::parse(&p.name().to_lowercase()), Some(p));
+        }
+        assert_eq!(AppProtocol::parse("gopher"), None);
+        assert_eq!(AppProtocol::parse(""), None);
+    }
 
     #[test]
     fn each_protocol_matches_its_own_forbidden_request() {

@@ -1,7 +1,7 @@
 //! A counting global allocator for the `cay bench` hot-path numbers.
 //!
-//! Enabled by the `count-allocs` feature and installed by the `cay`
-//! binary: every allocation and reallocation anywhere in the process
+//! Enabled by the `count-allocs` feature, which also installs it as
+//! the process's global allocator: every allocation and reallocation anywhere in the process
 //! bumps a relaxed atomic, so a bench region reads the counter before
 //! and after its loop and reports allocations per packet (or per
 //! trial). The counter is process-global — measured regions must
@@ -21,6 +21,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+#[global_allocator]
+static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 /// The system allocator, with an allocation-call counter in front.
 pub struct CountingAlloc;

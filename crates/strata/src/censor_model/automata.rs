@@ -4,9 +4,7 @@
 //! `crates/censor` implements: the censor's abstract states, which
 //! directions it observes, how it resynchronizes or tears down
 //! tracking state, and which packets it injects on a censorship
-//! event. The structural facts double as the stand-down oracle for
-//! `lints` (a lint that injects RSTs expecting resync consults
-//! `resyncs_on_server_rst` instead of a hard-coded censor list).
+//! event.
 //!
 //! The dynamic part — [`CensorAutomaton::step`] over [`AbsState`] —
 //! is the abstract transfer function the product checker and the

@@ -13,7 +13,7 @@
 //! * **path rules** reason about the abstract packet each
 //!   root-to-`send` path emits, using the [`crate::absint`]
 //!   `FieldEffect` summaries (`checksum-futile`,
-//!   `synack-payload-compat`, `resync-invariant`, `handshake-severed`,
+//!   `synack-payload-compat`, `handshake-severed`,
 //!   `seq-desync-kills-client`, `ack-desync-kills-client`,
 //!   `deliverable-rst-resets-client`, `window-zero-stalls-client`,
 //!   `checksum-left-broken-reaches-client`, `no-op-chain`).
@@ -37,7 +37,6 @@ use packet::{Proto, TcpFlags};
 
 use crate::absint::{action_effects, max_emission, FieldEffect, PathEffect};
 use crate::canon::{canonicalize, is_inert};
-use crate::censor_model::{automaton, CensorAutomaton, CensorId};
 use crate::diagnostics::{Diagnostic, Severity};
 
 /// Emission count at which `dup-amplification` starts complaining.
@@ -64,19 +63,6 @@ pub struct LintContext {
     pub hops_to_client: u8,
     /// TTL the engine's packets carry when no tamper touches it.
     pub default_ttl: u8,
-    /// Whether the modeled censor tears down / resynchronizes its TCB
-    /// on injected RSTs. `None` = unknown; when unset, the fact is
-    /// read off the [`censor`](LintContext::censor) automaton instead.
-    /// An explicit value wins over the automaton (hypothetical-censor
-    /// analyses).
-    pub censor_resyncs_on_rst: Option<bool>,
-    /// Which censor automaton guards the modeled path. Censor-aware
-    /// lints consult the automaton's declarative record
-    /// ([`crate::censor_model::automaton`]) — RST-resync behavior,
-    /// injection repertoire — instead of hard-coded per-censor lists.
-    /// `None` = unknown censor: censor-dependent rules stay quiet and
-    /// censor-dependent stand-downs stay off.
-    pub censor: Option<CensorId>,
     /// Whether the application exchange rides a TCP handshake + data
     /// flow. All current application protocols do (DNS here is DNS
     /// over TCP, RFC 7766), but the TCP-state-machine futility proofs
@@ -92,25 +78,8 @@ impl Default for LintContext {
             hops_to_middlebox: path.mb_to_server_hops,
             hops_to_client: path.mb_to_server_hops + path.client_to_mb_hops,
             default_ttl: 64,
-            censor_resyncs_on_rst: None,
-            censor: None,
             tcp_exchange: true,
         }
-    }
-}
-
-impl LintContext {
-    /// The declarative automaton for the configured censor, if known.
-    fn automaton(&self) -> Option<&'static CensorAutomaton> {
-        self.censor.map(automaton)
-    }
-
-    /// Does the censor tear down / resynchronize tracking state on a
-    /// server-sent RST? Explicit knowledge wins; otherwise the censor
-    /// automaton's declarative fact answers.
-    fn resyncs_on_rst(&self) -> Option<bool> {
-        self.censor_resyncs_on_rst
-            .or_else(|| self.automaton().and_then(|a| a.resyncs_on_server_rst))
     }
 }
 
@@ -184,7 +153,6 @@ fn lint_direction(
             lint_no_op_chain(&part.action, part_span, out);
             lint_checksum_futile_part(&paths, part_span, out);
             lint_synack_payload(part, &paths, part_span, out);
-            lint_resync_invariant(part, &paths, part_span, ctx, out);
             lint_window_zero(part, &paths, part_span, ctx, out);
             if !shielded && ctx.tcp_exchange {
                 lint_handshake_flow(part, &paths, part_span, ctx, out);
@@ -665,18 +633,7 @@ fn lint_handshake_flow(
     }
 
     // Handshake-viable packets exist — but does a lethal RST+ACK
-    // definitely arrive before the first of them? Against a censor
-    // whose automaton already injects RSTs toward *both* endpoints on
-    // detection (the GFW's teardown), a client-visible RST is the
-    // flow's ambient failure mode and this emission shape is the raw
-    // material of the RST-desync family the GA breeds there — the
-    // rule stands down and leaves the verdict to simulation.
-    if ctx
-        .automaton()
-        .is_some_and(|a| a.injects_rst_to_client && a.injects_rst_to_server)
-    {
-        return;
-    }
+    // definitely arrive before the first of them?
     let kills = |p: &PathEffect| {
         definitely_reaches_client(p, ctx)
             && p.effect("TCP:ack").is_none()
@@ -836,43 +793,6 @@ fn lint_synack_payload(
     }
 }
 
-/// `resync-invariant`: the part injects an RST expecting the censor to
-/// tear down or resynchronize its TCB, but the configured censor model
-/// ignores RSTs — the injection premise does not hold.
-fn lint_resync_invariant(
-    part: &StrategyPart,
-    paths: &[PathEffect],
-    span: Span,
-    ctx: &LintContext,
-    out: &mut Vec<Diagnostic>,
-) {
-    if ctx.resyncs_on_rst() != Some(false) {
-        return;
-    }
-    let injects_rst = paths
-        .iter()
-        .any(|p| p.emitted_flags(&part.trigger) == Some(TcpFlags::RST));
-    let keeps_real = paths
-        .iter()
-        .any(|p| p.emitted_flags(&part.trigger) != Some(TcpFlags::RST));
-    if injects_rst && keeps_real {
-        out.push(diag(
-            Severity::Warning,
-            "resync-invariant",
-            span,
-            "this part injects a RST to desynchronize the censor, but the modeled \
-             censor does not resynchronize on RSTs; the injected packet has no effect"
-                .into(),
-            Some(
-                "target a censor model that tears down on RST, or evolve a \
-                  different desync primitive"
-                    .into(),
-            ),
-            false,
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test code
@@ -997,82 +917,6 @@ mod tests {
             !c.contains(&"client-side-action-in-server-strategy"),
             "{c:?}"
         );
-    }
-
-    #[test]
-    fn resync_invariant_fires_against_non_resyncing_censor() {
-        let ctx = LintContext {
-            censor_resyncs_on_rst: Some(false),
-            ..LintContext::default()
-        };
-        let c = codes_ctx(
-            "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},)-| \\/ ",
-            &ctx,
-        );
-        assert!(c.contains(&"resync-invariant"), "{c:?}");
-    }
-
-    #[test]
-    fn resync_invariant_quiet_without_censor_knowledge() {
-        let c = codes("[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},)-| \\/ ");
-        assert!(!c.contains(&"resync-invariant"), "{c:?}");
-    }
-
-    #[test]
-    fn resync_invariant_reads_the_censor_automaton() {
-        // Naming the censor is enough: the automaton's declarative
-        // `resyncs_on_server_rst: Some(false)` unlocks the rule with no
-        // hand-passed fact.
-        for id in crate::censor_model::CensorId::all() {
-            let ctx = LintContext {
-                censor: Some(id),
-                ..LintContext::default()
-            };
-            let c = codes_ctx(
-                "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},)-| \\/ ",
-                &ctx,
-            );
-            assert!(c.contains(&"resync-invariant"), "{id:?}: {c:?}");
-        }
-        // An explicit override beats the automaton (hypothetical
-        // resyncing variant of the same censor).
-        let ctx = LintContext {
-            censor: Some(crate::censor_model::CensorId::Gfw),
-            censor_resyncs_on_rst: Some(true),
-            ..LintContext::default()
-        };
-        let c = codes_ctx(
-            "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},)-| \\/ ",
-            &ctx,
-        );
-        assert!(!c.contains(&"resync-invariant"), "{c:?}");
-    }
-
-    #[test]
-    fn deliverable_rst_stands_down_for_rst_injecting_censor() {
-        use crate::censor_model::CensorId;
-        let src = "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:RA},)-| \\/ ";
-        // The GFW automaton injects RSTs toward both endpoints: the
-        // deterministic claim yields to simulation.
-        let ctx = LintContext {
-            censor: Some(CensorId::Gfw),
-            ..LintContext::default()
-        };
-        let c = codes_ctx(src, &ctx);
-        assert!(!c.contains(&"deliverable-rst-resets-client"), "{c:?}");
-        // Censors without a bidirectional RST teardown keep the proof
-        // (and so does an unknown censor — see the context-free test).
-        for id in [CensorId::Airtel, CensorId::Iran, CensorId::Kazakhstan] {
-            let ctx = LintContext {
-                censor: Some(id),
-                ..LintContext::default()
-            };
-            let c = codes_ctx(src, &ctx);
-            assert!(
-                c.contains(&"deliverable-rst-resets-client"),
-                "{id:?}: {c:?}"
-            );
-        }
     }
 
     #[test]

@@ -424,10 +424,6 @@ fn rule_help(id: &str) -> (&'static str, &'static str) {
             "The real SYN+ACK is delivered carrying a payload; client stacks differ on accepting it.",
             LINTS_URI,
         ),
-        "resync-invariant" => (
-            "The part injects a RST to resynchronize the censor, but the modeled censor ignores RSTs.",
-            LINTS_URI,
-        ),
         "program-verify-failed" => (
             "The abstract interpreter could not discharge the compiled program's proof obligations.",
             ABSINT_URI,
@@ -692,7 +688,6 @@ mod tests {
             "window-zero-stalls-client",
             "checksum-left-broken-reaches-client",
             "synack-payload-compat",
-            "resync-invariant",
             "program-verify-failed",
             "program-amplification",
             "censor-verdict",

@@ -207,7 +207,7 @@ proptest! {
 }
 
 /// The declarative injection facts match one concrete censorship
-/// event per censor (the automaton rows `lints` stands down on).
+/// event per censor.
 #[test]
 fn automaton_injection_facts_match_concrete_censors() {
     let probe = Step {
@@ -240,8 +240,7 @@ fn automaton_injection_facts_match_concrete_censors() {
     assert!(!page.flags.contains(TcpFlags::RST));
 }
 
-/// GFW teardown RSTs fly both ways on a censorship event — the fact
-/// the `deliverable-rst-resets-client` stand-down keys on.
+/// GFW teardown RSTs fly both ways on a censorship event.
 #[test]
 fn gfw_automaton_matches_multibox_injection() {
     let g = automaton(CensorId::Gfw);

@@ -255,7 +255,7 @@ fn status_json(shared: &SvcShared) -> String {
         j.str("service", "cay-serve")
             .num("uptime_ms", snapshot.uptime_ms.unwrap_or(0))
             .num("draining", shared.draining.load(Ordering::Relaxed))
-            .num("packets", shared.packets.load(Ordering::Relaxed))
+            .num("packets", snapshot.table.packets)
             .num(
                 "ingest_pps",
                 format_args!("{}.{:03}", pps_milli / 1000, pps_milli % 1000),
@@ -297,88 +297,104 @@ fn status_json(shared: &SvcShared) -> String {
 pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String {
     let totals = &report.table;
     let mut out = String::with_capacity(1024);
-    let mut counter = |name: &str, help: &str, value: u64| {
+    let counter = |out: &mut String, name: &str, help: &str, value: u64| {
         out.push_str(&format!(
             "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
         ));
     };
     counter(
+        &mut out,
         "cay_packets_total",
         "Packets processed by the data plane.",
         totals.packets,
     );
     counter(
+        &mut out,
         "cay_flows_created_total",
         "Flow-table entries created.",
         totals.flows_created,
     );
     counter(
+        &mut out,
         "cay_pass_through_total",
         "Packets forwarded without a strategy.",
         totals.pass_through,
     );
     counter(
+        &mut out,
         "cay_evicted_lru_total",
         "Flows evicted by the capacity LRU.",
         totals.evicted_lru,
     );
     counter(
+        &mut out,
         "cay_evicted_idle_total",
         "Flows evicted by the idle timeout.",
         totals.evicted_idle,
     );
     counter(
+        &mut out,
         "cay_program_cache_hits_total",
         "New flows that reused a compiled program.",
         report.cache_hits,
     );
     counter(
+        &mut out,
         "cay_program_cache_misses_total",
         "New flows that compiled a program.",
         report.cache_misses,
     );
     counter(
+        &mut out,
         "cay_verify_rejects_total",
         "Strategies refused by the proof gate.",
         report.verify_rejects,
     );
     counter(
+        &mut out,
         "cay_reloads_total",
         "Accepted config reloads.",
         shared.reloads.load(Ordering::Relaxed),
     );
     counter(
+        &mut out,
         "cay_reload_rejects_total",
         "Refused config reloads.",
         shared.reload_rejects.load(Ordering::Relaxed),
     );
     let bridge = *unpoisoned(shared.bridge_stats.lock());
     counter(
+        &mut out,
         "cay_bridge_syscalls_total",
         "Syscalls made by the socket bridge.",
         bridge.syscalls,
     );
     counter(
+        &mut out,
         "cay_bridge_gso_sends_total",
         "Segmented (UDP_SEGMENT) egress messages the kernel took.",
         bridge.gso_sends,
     );
     counter(
+        &mut out,
         "cay_bridge_gso_frames_total",
         "Egress datagrams sent inside segmented messages.",
         bridge.gso_frames,
     );
     counter(
+        &mut out,
         "cay_bridge_gso_fallbacks_total",
         "Times the kernel refused segmentation and egress fell back to one message per datagram.",
         bridge.gso_fallbacks,
     );
     counter(
+        &mut out,
         "cay_bridge_recv_batches_total",
         "Ingress batches that delivered at least one frame.",
         bridge.recv_batches,
     );
     counter(
+        &mut out,
         "cay_bridge_egress_backpressure_events_total",
         "Egress attempts deferred by a full socket buffer.",
         bridge.egress_backpressure_events,
@@ -431,6 +447,44 @@ pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String 
             "cay_strategy_applies_total{{program=\"{key}\"}} {n}\n"
         ));
     }
+    counter(
+        &mut out,
+        "cay_bridge_frames_in_total",
+        "Frames decapsulated and queued for the data plane.",
+        bridge.frames_in,
+    );
+    counter(
+        &mut out,
+        "cay_bridge_frames_out_total",
+        "Frames encapsulated and sent.",
+        bridge.frames_out,
+    );
+    counter(
+        &mut out,
+        "cay_bridge_parse_errors_total",
+        "Datagrams and stream frames that did not parse as IPv4 packets.",
+        bridge.parse_errors,
+    );
+    counter(
+        &mut out,
+        "cay_bridge_unroutable_total",
+        "Emissions dropped because no peer and no upstream would take them.",
+        bridge.unroutable,
+    );
+    counter(
+        &mut out,
+        "cay_bridge_tcp_accepted_total",
+        "TCP ingress connections accepted.",
+        bridge.tcp_accepted,
+    );
+    out.push_str(&format!(
+        "# HELP cay_draining 1 while the service drains for shutdown.\n# TYPE cay_draining gauge\ncay_draining {}\n",
+        u8::from(shared.draining.load(Ordering::Relaxed))
+    ));
+    out.push_str(&format!(
+        "# HELP cay_rollout_rules Rules in the live rollout table.\n# TYPE cay_rollout_rules gauge\ncay_rollout_rules {}\n",
+        shared.rollout_rules()
+    ));
     out
 }
 

@@ -85,8 +85,6 @@ pub struct SvcShared {
     pub snapshot: Mutex<MetricsReport>,
     /// Latest bridge counters (what `/status` serves).
     pub bridge_stats: Mutex<BridgeStats>,
-    /// Packets pumped through the plane since start.
-    pub packets: AtomicU64,
     /// Accepted `POST /config` reloads.
     pub reloads: AtomicU64,
     /// Refused `POST /config` reloads (parse or proof-gate).
@@ -189,7 +187,6 @@ impl Core {
             reloaded: Mutex::new(Vec::new()),
             snapshot: Mutex::new(MetricsReport::default()),
             bridge_stats: Mutex::new(BridgeStats::default()),
-            packets: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             reload_rejects: AtomicU64::new(0),
             protocol: cfg.protocol,
@@ -224,7 +221,6 @@ impl Core {
         self.dp.classifier_mut().table = table;
         let n = self.dp.pump(io, self.server_addr);
         if n > 0 {
-            self.shared.packets.fetch_add(n, Ordering::Relaxed);
             self.publish();
         }
         n
@@ -244,10 +240,11 @@ impl Core {
         let mut report = self.dp.metrics();
         let uptime_ms =
             u64::try_from(self.shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let packets = self.shared.packets.load(Ordering::Relaxed);
         report.uptime_ms = Some(uptime_ms);
         report.ingest_pps_milli = Some(
-            packets
+            report
+                .table
+                .packets
                 .saturating_mul(1_000_000)
                 .checked_div(uptime_ms)
                 .unwrap_or(0),

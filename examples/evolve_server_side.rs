@@ -3,7 +3,7 @@
 //! trained against a censor.
 //!
 //! ```sh
-//! cargo run --release --example evolve_server_side -- [--jobs N] [china|india|iran|kazakhstan] [protocol]
+//! cargo run --release --example evolve_server_side -- [--jobs N] [china|india|iran|kazakhstan] [dns|ftp|http|https|smtp]
 //! ```
 
 use appproto::AppProtocol;
@@ -13,19 +13,19 @@ use harness::Throughput;
 
 fn main() {
     let args = come_as_you_are::cli::args_with_jobs();
-    let country = match args.first().map(String::as_str) {
-        Some("india") => Country::India,
-        Some("iran") => Country::Iran,
-        Some("kazakhstan") => Country::Kazakhstan,
-        _ => Country::China,
+    let unknown = |what: &str, s: &str| -> ! {
+        eprintln!(
+            "unknown {what} {s}\nusage: evolve_server_side [--jobs N] \
+             [china|india|iran|kazakhstan] [dns|ftp|http|https|smtp]"
+        );
+        std::process::exit(2);
     };
-    let protocol = match args.get(1).map(String::as_str) {
-        Some("dns") => AppProtocol::DnsTcp,
-        Some("ftp") => AppProtocol::Ftp,
-        Some("https") => AppProtocol::Https,
-        Some("smtp") => AppProtocol::Smtp,
-        _ => AppProtocol::Http,
-    };
+    let country = args.first().map_or(Country::China, |s| {
+        Country::parse(s).unwrap_or_else(|| unknown("country", s))
+    });
+    let protocol = args.get(1).map_or(AppProtocol::Http, |s| {
+        AppProtocol::parse(s).unwrap_or_else(|| unknown("protocol", s))
+    });
 
     let mut config = GaConfig::new(country, protocol, 2020);
     config.population = 120;

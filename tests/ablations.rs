@@ -1,6 +1,6 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test code
-//! The DESIGN.md ablations as assertions (the benches measure cost;
-//! these check the *claims*).
+//! The DESIGN.md §6 ablations as assertions: each checks a *claim*
+//! about the model, not a timing.
 
 use appproto::AppProtocol;
 use censor::Country;
