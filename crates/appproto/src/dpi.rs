@@ -9,7 +9,11 @@
 
 use crate::{dns, ftp, http, smtp, tls};
 
-/// The five application protocols of the paper's evaluation.
+/// The five application protocols of the paper's evaluation. Every
+/// one rides a TCP connection (DNS here is DNS over TCP), which is
+/// what makes `strata`'s TCP-liveness futility proofs sound for all
+/// of them; a UDP transport would have to make those proofs stand
+/// down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppProtocol {
     /// DNS over TCP (RFC 7766).
@@ -52,22 +56,6 @@ impl AppProtocol {
             AppProtocol::Http => "HTTP",
             AppProtocol::Https => "HTTPS",
             AppProtocol::Smtp => "SMTP",
-        }
-    }
-
-    /// Whether this protocol's exchange rides a TCP connection. All
-    /// five evaluated protocols do — DNS here is DNS over TCP
-    /// (RFC 7766), not UDP — so TCP-liveness lints (handshake, seq/ack
-    /// coherence, RST delivery) apply to every current protocol. A
-    /// future UDP transport would return `false` and those lints would
-    /// stand down.
-    pub fn transport_is_tcp(self) -> bool {
-        match self {
-            AppProtocol::DnsTcp
-            | AppProtocol::Ftp
-            | AppProtocol::Http
-            | AppProtocol::Https
-            | AppProtocol::Smtp => true,
         }
     }
 

@@ -86,7 +86,6 @@ struct FlowEntry {
     seed: u64,
     last_seen: u64,
     last_tick: u64,
-    packets: u64,
 }
 
 /// What a lookup returned: the flow's strategy state.
@@ -167,7 +166,6 @@ impl FlowTable {
             Some(entry) if now.saturating_sub(entry.last_seen) <= timeout => {
                 entry.last_seen = now;
                 entry.last_tick = tick;
-                entry.packets += 1;
                 let touch = Touch {
                     program: entry.program.clone(),
                     seed: entry.seed,
@@ -202,7 +200,6 @@ impl FlowTable {
                 seed,
                 last_seen: now,
                 last_tick: tick,
-                packets: 1,
             },
         );
         self.metrics.flows_created += 1;

@@ -7,9 +7,13 @@ use censor::Country;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 4;
+/// Fraction of elites copied unchanged into the next generation.
+const ELITISM: f64 = 0.08;
+
 /// Evolution hyperparameters. Paper defaults: population 300, up to 50
-/// generations (we default smaller for iterated experimentation; the
-/// `evolution` bench uses the paper's scale).
+/// generations (we default smaller for iterated experimentation).
 #[derive(Debug, Clone)]
 pub struct GaConfig {
     /// Censor to train against.
@@ -26,10 +30,6 @@ pub struct GaConfig {
     pub seed: u64,
     /// Stop after this many generations without best-fitness progress.
     pub patience: u32,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Fraction of elites copied unchanged.
-    pub elitism: f64,
     /// Allow the trigger's flag value to evolve (the paper only fixes
     /// the SYN+ACK trigger for DNS/HTTP/HTTPS/SMTP; FTP's interactive
     /// exchange leaves more server packets to trigger on).
@@ -60,21 +60,10 @@ impl GaConfig {
             trials_per_eval: 8,
             seed,
             patience: 6,
-            tournament: 4,
-            elitism: 0.08,
             evolve_triggers: protocol == AppProtocol::Ftp,
             dedup: true,
             jobs: None,
             censor_gate: true,
-        }
-    }
-
-    /// The paper's scale (§4.1): population 300, 50 generations.
-    pub fn paper_scale(country: Country, protocol: AppProtocol, seed: u64) -> GaConfig {
-        GaConfig {
-            population: 300,
-            generations: 50,
-            ..GaConfig::new(country, protocol, seed)
         }
     }
 }
@@ -196,13 +185,13 @@ pub fn evolve(config: &GaConfig) -> EvolutionResult {
         // Select and reproduce.
         let mut ranked = scored;
         ranked.sort_by(|a, b| b.1.fitness.total_cmp(&a.1.fitness));
-        #[allow(clippy::cast_possible_truncation)] // elitism ∈ [0,1] ⇒ fits usize
-        let elites = ((config.population as f64) * config.elitism).ceil() as usize;
+        #[allow(clippy::cast_possible_truncation)] // ELITISM ∈ [0,1] ⇒ fits usize
+        let elites = ((config.population as f64) * ELITISM).ceil() as usize;
         let mut next: Vec<Genome> = ranked.iter().take(elites).map(|(g, _)| g.clone()).collect();
 
         let tournament = |rng: &mut StdRng| -> &Genome {
             let mut winner = &ranked[rng.gen_range(0..ranked.len())];
-            for _ in 1..config.tournament {
+            for _ in 1..TOURNAMENT {
                 let challenger = &ranked[rng.gen_range(0..ranked.len())];
                 if challenger.1.fitness > winner.1.fitness {
                     winner = challenger;

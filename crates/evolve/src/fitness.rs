@@ -2,8 +2,9 @@
 //!
 //! Geneva's fitness rewards strategies that evade while staying small
 //! (bloated trees mutate poorly and deploy expensively). We evaluate
-//! against the censor models through the same `harness::run_trial`
-//! pipeline every other experiment uses, and memoize evaluations.
+//! against the censor models through the same
+//! `harness::success_rate_in` estimator every other experiment uses,
+//! and memoize evaluations.
 //!
 //! Two layers of simulator-time savings, both powered by `strata`:
 //!
@@ -35,11 +36,14 @@ use crate::genome::Genome;
 use appproto::AppProtocol;
 use censor::Country;
 use harness::deploy::censor_id;
-use harness::{cell_tag, derive_trial_seed, pool, run_trial, Pool, TrialConfig};
+use harness::{cell_tag, success_rate_in, Pool, TrialConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use strata::censor_model::{check, CensorId, Verdict};
-use strata::{canonicalize_strategy, lint_with_context, summarize, LintContext, Severity};
+use strata::{canonicalize_strategy, lint_strategy, summarize, Severity};
+
+/// Per-node-count penalty subtracted from the percent success.
+const COMPLEXITY_PENALTY: f64 = 0.6;
 
 /// One genome's evaluated fitness.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,12 +86,8 @@ pub struct FitnessCache {
     pub protocol: AppProtocol,
     /// Trials per evaluation.
     pub trials: u32,
-    /// Per-node-count penalty subtracted from the percent success.
-    pub complexity_penalty: f64,
     /// Memo keying mode.
     pub keying: CacheKeying,
-    /// Skip simulation for provably futile genomes.
-    pub static_gate: bool,
     /// Skip simulation for genomes the censor model checker proves
     /// inert against this target's censor.
     pub censor_gate: bool,
@@ -98,7 +98,6 @@ pub struct FitnessCache {
     seed: u64,
     jobs: Option<usize>,
     cache: HashMap<String, (u32, u32)>,
-    lint_ctx: LintContext,
     /// Total simulated trials spent (diagnostics).
     pub trials_spent: u64,
     /// Trials that hit the simulator's event cap instead of finishing
@@ -116,39 +115,6 @@ pub struct FitnessCache {
     pub censor_static_rejects: u64,
 }
 
-/// Simulate one memo key's trials. Seeds derive from the *canonical*
-/// text via the harness's central splitmix64 mixer — the same formula
-/// on the serial and parallel paths, so a genome's outcome never
-/// depends on which path (or worker) evaluated it. Returns
-/// `(successes, truncated)`.
-fn simulate_key(
-    country: Country,
-    protocol: AppProtocol,
-    trials: u32,
-    base_seed: u64,
-    strategy: Arc<geneva::Strategy>,
-    canonical_text: &str,
-) -> (u32, u32) {
-    let tag = cell_tag(canonical_text);
-    // One config, re-seeded per trial: the strategy tree is shared via
-    // the `Arc`, never deep-cloned in this hot loop.
-    let mut cfg = TrialConfig::new(country, protocol, strategy, 0);
-    let mut successes = 0;
-    let mut truncated = 0;
-    for i in 0..trials {
-        cfg.seed = derive_trial_seed(base_seed, tag, i);
-        let result = run_trial(&cfg);
-        if result.evaded() {
-            successes += 1;
-        }
-        if result.truncated {
-            truncated += 1;
-        }
-    }
-    pool::record_trials(u64::from(trials));
-    (successes, truncated)
-}
-
 impl FitnessCache {
     /// New evaluator with canonical dedup and the futility gate on.
     pub fn new(country: Country, protocol: AppProtocol, trials: u32, seed: u64) -> Self {
@@ -156,9 +122,7 @@ impl FitnessCache {
             country,
             protocol,
             trials,
-            complexity_penalty: 0.6,
             keying: CacheKeying::Canonical,
-            static_gate: true,
             censor_gate: true,
             prefilter: country
                 .censored_protocols()
@@ -167,12 +131,6 @@ impl FitnessCache {
             seed,
             jobs: None,
             cache: HashMap::new(),
-            // TCP-liveness futility proofs only apply when the target
-            // exchange actually rides TCP.
-            lint_ctx: LintContext {
-                tcp_exchange: protocol.transport_is_tcp(),
-                ..LintContext::default()
-            },
             trials_spent: 0,
             truncated_trials: 0,
             cache_hits: 0,
@@ -217,61 +175,22 @@ impl FitnessCache {
         }
     }
 
-    /// Evaluate (or recall) a genome's fitness.
+    /// Evaluate (or recall) a genome's fitness: a one-genome batch.
     pub fn evaluate(&mut self, genome: &Genome) -> FitnessEval {
-        let canonical = canonicalize_strategy(&genome.strategy);
-        let canonical_text = canonical.to_string();
-        let key = match self.keying {
-            CacheKeying::Text => genome.strategy.to_string(),
-            CacheKeying::Canonical => canonical_text.clone(),
-        };
-        if let Some(&(successes, trials)) = self.cache.get(&key) {
-            self.cache_hits += 1;
-            return self.eval_from(successes, trials, genome);
-        }
-        self.cache_misses += 1;
-
-        let futile = self.static_gate && {
-            lint_with_context(&canonical, &self.lint_ctx)
-                .iter()
-                .any(|d| d.severity == Severity::Error && d.proves_futile)
-        };
-        let (successes, trials) = if futile {
-            // The lints prove no trial can succeed; record the exact
-            // outcome simulation would have produced, for free.
-            self.static_rejects += 1;
-            (0, self.trials)
-        } else if self.provably_inert(&canonical) {
-            // The censor model proves the censor sees an identity
-            // flow: zero successes, no simulation needed.
-            self.censor_static_rejects += 1;
-            (0, self.trials)
-        } else {
-            let (successes, truncated) = simulate_key(
-                self.country,
-                self.protocol,
-                self.trials,
-                self.seed,
-                Arc::new(genome.strategy.clone()),
-                &canonical_text,
-            );
-            self.trials_spent += u64::from(self.trials);
-            self.truncated_trials += u64::from(truncated);
-            (successes, self.trials)
-        };
-        self.cache.insert(key, (successes, trials));
-        self.eval_from(successes, trials, genome)
+        self.evaluate_population(std::slice::from_ref(genome))[0]
     }
 
     /// Evaluate a whole generation at once: unique uncached keys fan
     /// out across the pool, everything else is served from the memo.
     ///
     /// Bit-identical to calling [`evaluate`] on each genome in order,
-    /// for any worker count: per-key trial seeds come from the same
-    /// canonical-text derivation, hit/miss/reject counters replicate
-    /// the serial accounting (first occurrence of a key is the miss,
-    /// the rest are hits), and results merge into the memo in
-    /// canonical-key order rather than completion order.
+    /// for any worker count: per-key trial seeds derive from the
+    /// canonical text (the harness's `cell_tag` of it), so a genome's
+    /// outcome never depends on which batch or worker evaluated it;
+    /// hit/miss/reject counters replicate the serial accounting (first
+    /// occurrence of a key is the miss, the rest are hits), and results
+    /// merge into the memo in canonical-key order rather than
+    /// completion order.
     ///
     /// [`evaluate`]: FitnessCache::evaluate
     pub fn evaluate_population(&mut self, genomes: &[Genome]) -> Vec<FitnessEval> {
@@ -297,15 +216,16 @@ impl FitnessCache {
                 self.cache_hits += 1;
             } else {
                 self.cache_misses += 1;
-                let futile = self.static_gate && {
-                    lint_with_context(&canonical, &self.lint_ctx)
-                        .iter()
-                        .any(|d| d.severity == Severity::Error && d.proves_futile)
-                };
+                let futile = lint_strategy(&canonical)
+                    .iter()
+                    .any(|d| d.severity == Severity::Error && d.proves_futile);
                 if futile {
+                    // The lints prove no trial can succeed: record the
+                    // exact outcome simulation would have produced.
                     self.static_rejects += 1;
                     self.cache.insert(key.clone(), (0, self.trials));
                 } else if self.provably_inert(&canonical) {
+                    // The censor sees an identity flow: zero successes.
                     self.censor_static_rejects += 1;
                     self.cache.insert(key.clone(), (0, self.trials));
                 } else {
@@ -322,19 +242,16 @@ impl FitnessCache {
 
         // Pass 2: simulate the unique missing keys concurrently. Each
         // key is a pure function of (target, trials, seed, canonical
-        // text) — worker scheduling cannot touch the outcome.
-        let (country, protocol, trials, base_seed) =
-            (self.country, self.protocol, self.trials, self.seed);
-        let results = self.pool().map_indexed(pending.len(), |i| {
+        // text) — worker scheduling cannot touch the outcome. Inside a
+        // worker the per-key trial loop runs serially; a lone key
+        // spreads its trials over the pool instead.
+        let pool = self.pool();
+        let results = pool.map_indexed(pending.len(), |i| {
             let p = &pending[i];
-            simulate_key(
-                country,
-                protocol,
-                trials,
-                base_seed,
-                Arc::clone(&p.strategy),
-                &p.canonical_text,
-            )
+            let cfg = TrialConfig::new(self.country, self.protocol, Arc::clone(&p.strategy), 0);
+            let tag = cell_tag(&p.canonical_text);
+            let estimate = success_rate_in(&pool, &cfg, self.trials, self.seed, tag);
+            (estimate.successes, estimate.truncated)
         });
 
         // Pass 3: merge into the memo in canonical-key order, so the
@@ -364,7 +281,7 @@ impl FitnessCache {
         FitnessEval {
             successes,
             trials,
-            fitness: rate * 100.0 - self.complexity_penalty * genome.size() as f64,
+            fitness: rate * 100.0 - COMPLEXITY_PENALTY * genome.size() as f64,
         }
     }
 

@@ -16,13 +16,13 @@ use evolve::Genome;
 use harness::{derive_trial_seed, run_trial, TrialConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use strata::{canonicalize_strategy, lint_with_context, LintContext, Severity};
+use strata::{canonicalize_strategy, lint_strategy, Severity};
 
 /// The gate `evolve::FitnessCache` applies (HTTP rides TCP, so the
-/// TCP-liveness proofs are active — the same context the GA uses).
+/// TCP-liveness proofs are active — the same lints the GA runs).
 fn statically_refuted(strategy: &geneva::Strategy) -> bool {
     let canonical = canonicalize_strategy(strategy);
-    lint_with_context(&canonical, &LintContext::default())
+    lint_strategy(&canonical)
         .iter()
         .any(|d| d.severity == Severity::Error && d.proves_futile)
 }

@@ -2,9 +2,9 @@
 //!
 //! Every driver returns a structured result with a `render()` method
 //! producing the text the paper's table or figure would show; the
-//! `bench` crate and `examples/` binaries call these directly, and the
-//! integration tests assert on the *shape* of the results (who wins,
-//! by roughly what factor, where crossovers fall).
+//! `cay` subcommands (and `examples/lossy_network.rs`) call these
+//! directly, and the integration tests assert on the *shape* of the
+//! results (who wins, by roughly what factor, where crossovers fall).
 
 pub mod dns_race;
 pub mod followups;

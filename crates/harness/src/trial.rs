@@ -231,12 +231,6 @@ impl TrialResult {
     }
 }
 
-/// A middlebox that also exposes a censor-event counter.
-enum Box_ {
-    None(NullMiddlebox),
-    Censor(Box<dyn Middlebox>),
-}
-
 /// The server behind either wire interface: the per-trial interpreter
 /// (`StrategicEndpoint`) or the compiled data plane (`DplaneEndpoint`).
 /// One enum keeps `run_trial`'s simulation code monomorphic; the
@@ -344,61 +338,42 @@ pub fn run_trial_scratch(cfg: &TrialConfig, scratch: &mut TrialScratch) -> Trial
         ))
     };
 
-    let middlebox = match (cfg.country, cfg.censor_variant) {
+    // The null middlebox never injects or drops, so counting its
+    // trace yields the 0 censor events a censor-free path has.
+    let middlebox: Box<dyn Middlebox> = match (cfg.country, cfg.censor_variant) {
         (None, _) => match cfg.carrier {
-            Some(carrier) => Box_::Censor(Box::new(CarrierMiddlebox::new(carrier))),
-            None => Box_::None(NullMiddlebox),
+            Some(carrier) => Box::new(CarrierMiddlebox::new(carrier)),
+            None => Box::new(NullMiddlebox),
         },
         (Some(Country::China), CensorVariant::GfwSingleBox) => {
-            Box_::Censor(Box::new(Gfw::single_box_ablation(cfg.seed ^ 0xCE50)))
+            Box::new(Gfw::single_box_ablation(cfg.seed ^ 0xCE50))
         }
         (Some(Country::China), CensorVariant::GfwOldResyncModel) => {
-            Box_::Censor(Box::new(Gfw::old_resync_model(cfg.seed ^ 0xCE50)))
+            Box::new(Gfw::old_resync_model(cfg.seed ^ 0xCE50))
         }
-        (Some(country), _) => Box_::Censor(country.build(cfg.seed ^ 0xCE50)),
+        (Some(country), _) => country.build(cfg.seed ^ 0xCE50),
     };
 
     let buffers = std::mem::take(&mut scratch.buffers);
-    match middlebox {
-        Box_::None(mb) => {
-            let mut sim = Simulation::with_path_buffers(client, server, mb, cfg.path, buffers);
-            if let Some(cap) = cfg.event_cap {
-                sim.max_events = cap;
-            }
-            let stop = sim.run(30_000_000);
-            let verdict = TrialVerdict {
-                outcome: sim.client.inner.outcome(),
-                server_responded: sim.server.responded_any(),
-                censor_events: 0,
-                stop,
-                truncated: stop.truncated(),
-            };
-            scratch.buffers = sim.into_buffers();
-            verdict
-        }
-        Box_::Censor(mb) => {
-            let mut sim = Simulation::with_path_buffers(client, server, mb, cfg.path, buffers);
-            if let Some(cap) = cfg.event_cap {
-                sim.max_events = cap;
-            }
-            let stop = sim.run(30_000_000);
-            let verdict = TrialVerdict {
-                outcome: sim.client.inner.outcome(),
-                server_responded: sim.server.responded_any(),
-                censor_events: sim.trace.count(|e| {
-                    matches!(
-                        e,
-                        netsim::TraceEvent::Injected { .. }
-                            | netsim::TraceEvent::DroppedByMiddlebox { .. }
-                    )
-                }) as u64,
-                stop,
-                truncated: stop.truncated(),
-            };
-            scratch.buffers = sim.into_buffers();
-            verdict
-        }
+    let mut sim = Simulation::with_path_buffers(client, server, middlebox, cfg.path, buffers);
+    if let Some(cap) = cfg.event_cap {
+        sim.max_events = cap;
     }
+    let stop = sim.run(30_000_000);
+    let verdict = TrialVerdict {
+        outcome: sim.client.inner.outcome(),
+        server_responded: sim.server.responded_any(),
+        censor_events: sim.trace.count(|e| {
+            matches!(
+                e,
+                netsim::TraceEvent::Injected { .. } | netsim::TraceEvent::DroppedByMiddlebox { .. }
+            )
+        }) as u64,
+        stop,
+        truncated: stop.truncated(),
+    };
+    scratch.buffers = sim.into_buffers();
+    verdict
 }
 
 fn server_app_for(proto: AppProtocol) -> Box<dyn ServerApp> {

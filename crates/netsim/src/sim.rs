@@ -141,17 +141,21 @@ pub struct PathConfig {
 
 impl Default for PathConfig {
     fn default() -> Self {
-        // A censor a few hops into the client's country; a far server.
-        PathConfig {
-            client_to_mb_hops: 4,
-            mb_to_server_hops: 8,
-            client_to_mb_latency: 10_000, // 10 ms
-            mb_to_server_latency: 40_000, // 40 ms
-        }
+        Self::DEFAULT
     }
 }
 
 impl PathConfig {
+    /// A censor a few hops into the client's country; a far server.
+    /// A `const` so static analyses can read the path facts at compile
+    /// time.
+    pub const DEFAULT: PathConfig = PathConfig {
+        client_to_mb_hops: 4,
+        mb_to_server_hops: 8,
+        client_to_mb_latency: 10_000, // 10 ms
+        mb_to_server_latency: 40_000, // 40 ms
+    };
+
     /// Hops from `side`'s origin to the middlebox.
     fn hops_to_mb(&self, from: Side) -> u8 {
         match from {

@@ -51,7 +51,6 @@ pub mod checksum;
 pub mod field;
 pub mod flags;
 pub mod ipv4;
-pub mod ipv6;
 pub mod packet;
 pub mod tcp;
 pub mod udp;
@@ -60,7 +59,6 @@ pub use bytes::PayloadBuf;
 pub use field::{FieldRef, FieldValue, Proto};
 pub use flags::TcpFlags;
 pub use ipv4::Ipv4Header;
-pub use ipv6::Ipv6Header;
 pub use packet::{FlowKey, Packet, Transport};
 pub use tcp::{TcpHeader, TcpOption};
 pub use udp::UdpHeader;

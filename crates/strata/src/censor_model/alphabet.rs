@@ -21,7 +21,7 @@ use packet::field::FieldValue;
 use packet::{Packet, Proto, TcpFlags};
 
 use crate::absint::{FieldEffect, PathEffect};
-use crate::censor_model::check::ModelCtx;
+use crate::lints::{DEFAULT_TTL, HOPS_TO_MIDDLEBOX};
 
 /// Three-valued fact: definitely false, unknown, definitely true.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -119,12 +119,7 @@ impl AbsPacket {
     /// packet, and a SYN-bearing flags trigger additionally proves the
     /// matched packet payload-free (the modeled endpoint stacks never
     /// put data on SYN or SYN+ACK segments).
-    pub fn of_effect(
-        effect: &PathEffect,
-        trigger: &Trigger,
-        dir: AbsDirection,
-        ctx: &ModelCtx,
-    ) -> AbsPacket {
+    pub fn of_effect(effect: &PathEffect, trigger: &Trigger, dir: AbsDirection) -> AbsPacket {
         if effect.via_fragment {
             // A fragment path's field facts describe a superset of
             // dynamic behaviours (the split may or may not happen and
@@ -181,8 +176,8 @@ impl AbsPacket {
             Some(FieldEffect::Corrupted) => (Tri::Yes, Tri::No, Tri::No),
         };
         let checksum_ok = Tri::of(!effect.checksum_broken());
-        let reaches = match effect.ttl(ctx.default_ttl) {
-            Some(t) if t >= u64::from(ctx.hops_to_middlebox) => Tri::Yes,
+        let reaches = match effect.ttl(DEFAULT_TTL) {
+            Some(t) if t >= u64::from(HOPS_TO_MIDDLEBOX) => Tri::Yes,
             Some(_) => Tri::No,
             None => Tri::Maybe,
         };

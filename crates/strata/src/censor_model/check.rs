@@ -46,31 +46,6 @@ use crate::censor_model::alphabet::{AbsDirection, AbsPacket};
 use crate::censor_model::automata::{automaton, AbsState};
 use crate::censor_model::{CensorId, Verdict};
 
-/// Topology knowledge the checker shares with `lints::LintContext`:
-/// enough to decide whether an emission's TTL survives to the censor.
-#[derive(Debug, Clone)]
-pub struct ModelCtx {
-    /// Router hops from the strategic server to the middlebox.
-    pub hops_to_middlebox: u8,
-    /// TTL the engine's packets carry when no tamper touches it.
-    pub default_ttl: u8,
-}
-
-impl Default for ModelCtx {
-    fn default() -> Self {
-        let path = netsim::PathConfig::default();
-        ModelCtx {
-            hops_to_middlebox: path.mb_to_server_hops,
-            default_ttl: 64,
-        }
-    }
-}
-
-/// Check one strategy summary against one censor, default topology.
-pub fn check(summary: &StrategySummary, id: CensorId) -> Verdict {
-    check_with(summary, id, &ModelCtx::default())
-}
-
 /// Summarize and check a strategy against one censor.
 pub fn check_strategy(strategy: &Strategy, id: CensorId) -> Verdict {
     check(&summarize(strategy), id)
@@ -84,8 +59,9 @@ pub fn check_all(summary: &StrategySummary) -> Vec<(CensorId, Verdict)> {
         .collect()
 }
 
-/// Check one strategy summary against one censor.
-pub fn check_with(summary: &StrategySummary, id: CensorId, ctx: &ModelCtx) -> Verdict {
+/// Check one strategy summary against one censor on the simulated
+/// path (`lints::HOPS_TO_MIDDLEBOX`, `lints::DEFAULT_TTL`).
+pub fn check(summary: &StrategySummary, id: CensorId) -> Verdict {
     match id {
         CensorId::Gfw => Verdict::Unknown,
         CensorId::Airtel | CensorId::Iran => {
@@ -96,7 +72,7 @@ pub fn check_with(summary: &StrategySummary, id: CensorId, ctx: &ModelCtx) -> Ve
             }
         }
         CensorId::Kazakhstan => {
-            if kz_desynced(summary, ctx) {
+            if kz_desynced(summary) {
                 Verdict::ProvablyDesynced
             } else if kz_inert(summary) {
                 Verdict::ProvablyInert
@@ -155,7 +131,7 @@ fn trigger_flags(part: &PartSummary) -> Option<TcpFlags> {
 /// fires on the server's SYN+ACK, prove every earlier part provably
 /// disjoint from it, and product-execute its emissions through the KZ
 /// automaton from the initial state.
-fn kz_desynced(summary: &StrategySummary, ctx: &ModelCtx) -> bool {
+fn kz_desynced(summary: &StrategySummary) -> bool {
     // The handshake must run as baseline on the way in: the client's
     // SYN has to reach the server stack unmodified so the SYN+ACK is
     // emitted at all, and no inbound rewrite may forge server-visible
@@ -184,7 +160,7 @@ fn kz_desynced(summary: &StrategySummary, ctx: &ModelCtx) -> bool {
         // cross the censor before the client can send data.
         let mut state = kz.initial();
         for path in &part.paths {
-            let pkt = AbsPacket::of_effect(path, &part.trigger, AbsDirection::ToClient, ctx);
+            let pkt = AbsPacket::of_effect(path, &part.trigger, AbsDirection::ToClient);
             kz.step(&mut state, &pkt);
         }
         let AbsState::Kz(flow) = state else {

@@ -37,7 +37,7 @@ pub mod check;
 
 pub use alphabet::{AbsDirection, AbsPacket, Tri};
 pub use automata::{automaton, AbsState, CensorAutomaton, KzAbstractFlow};
-pub use check::{check, check_all, check_strategy, check_with, ModelCtx};
+pub use check::{check, check_all, check_strategy};
 
 /// The four modeled censors, named independently of `crates/censor`
 /// (which depends on nothing in `strata`; the automata here are

@@ -43,7 +43,7 @@ pub use absint::{
 pub use canon::{canonicalize, canonicalize_strategy, CanonKey};
 pub use censor_model::{CensorId, Verdict};
 pub use diagnostics::{line_col, Diagnostic, Severity};
-pub use lints::{lint, lint_with_context, LintContext, AMPLIFICATION_LIMIT};
+pub use lints::{lint, lint_strategy, AMPLIFICATION_LIMIT};
 pub use report::{render_verdict_matrix, ProgramFacts, ReportEntry};
 pub use unsafe_scan::{scan_unsafe, UnsafeFinding, UnsafeScanReport, UNSAFE_ALLOWLIST};
 
@@ -65,15 +65,9 @@ pub struct Analysis {
 
 /// Run the full pipeline on one strategy.
 pub fn analyze(strategy: &geneva::Strategy) -> Analysis {
-    analyze_with_context(strategy, &LintContext::default())
-}
-
-/// Run the full pipeline with scenario context (country, protocol)
-/// enabling the context-dependent lints.
-pub fn analyze_with_context(strategy: &geneva::Strategy, ctx: &LintContext) -> Analysis {
     let canonical = canonicalize_strategy(strategy);
     let key = CanonKey::of(&canonical);
-    let diagnostics = lint_with_context(strategy, ctx);
+    let diagnostics = lint_strategy(strategy);
     let statically_futile = diagnostics
         .iter()
         .any(|d| d.severity == Severity::Error && d.proves_futile);

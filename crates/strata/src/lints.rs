@@ -46,73 +46,47 @@ use crate::diagnostics::{Diagnostic, Severity};
 /// as amplified.
 pub const AMPLIFICATION_LIMIT: usize = 8;
 
-/// Scenario knowledge that unlocks the context-dependent lints.
-///
-/// The defaults describe the simulated path (`netsim::PathConfig`)
-/// and claim nothing about the censor, so context-free callers (the
-/// `lint` CLI) still get the topology-aware rules.
-#[derive(Debug, Clone)]
-pub struct LintContext {
-    /// Router hops from the strategic server to the censoring
-    /// middlebox. A server-emitted packet with TTL below this dies
-    /// before the censor ever sees it.
-    pub hops_to_middlebox: u8,
-    /// Router hops from the server all the way to the client. A
-    /// packet with TTL below this can influence the censor but never
-    /// reaches the client.
-    pub hops_to_client: u8,
-    /// TTL the engine's packets carry when no tamper touches it.
-    pub default_ttl: u8,
-    /// Whether the application exchange rides a TCP handshake + data
-    /// flow. All current application protocols do (DNS here is DNS
-    /// over TCP, RFC 7766), but the TCP-state-machine futility proofs
-    /// (`handshake-severed`, the desync/RST/data-flow rules) are only
-    /// sound when this holds, so it is an explicit knob.
-    pub tcp_exchange: bool,
-}
+/// Router hops from the strategic server to the censoring middlebox
+/// on the simulated path (`netsim::PathConfig::DEFAULT`). A
+/// server-emitted packet with TTL below this dies before the censor
+/// ever sees it.
+pub(crate) const HOPS_TO_MIDDLEBOX: u8 = netsim::PathConfig::DEFAULT.mb_to_server_hops;
 
-impl Default for LintContext {
-    fn default() -> Self {
-        let path = netsim::PathConfig::default();
-        LintContext {
-            hops_to_middlebox: path.mb_to_server_hops,
-            hops_to_client: path.mb_to_server_hops + path.client_to_mb_hops,
-            default_ttl: 64,
-            tcp_exchange: true,
-        }
-    }
-}
+/// Router hops from the server all the way to the client. A packet
+/// with TTL below this can influence the censor but never reaches the
+/// client.
+pub(crate) const HOPS_TO_CLIENT: u8 =
+    netsim::PathConfig::DEFAULT.mb_to_server_hops + netsim::PathConfig::DEFAULT.client_to_mb_hops;
 
-/// Parse strategy text and lint it with default context. The returned
-/// spans index straight into `source`, so [`Diagnostic::render`] can
-/// quote the offending snippet.
+/// TTL the engine's packets carry when no tamper touches it.
+pub(crate) const DEFAULT_TTL: u8 = 64;
+
+/// Parse strategy text and lint it. The returned spans index straight
+/// into `source`, so [`Diagnostic::render`] can quote the offending
+/// snippet.
 pub fn lint(source: &str) -> Result<Vec<Diagnostic>, ParseError> {
     let (strategy, spans) = parse_strategy_spanned(source)?;
-    Ok(lint_spanned(&strategy, &spans, &LintContext::default()))
+    Ok(lint_spanned(&strategy, &spans))
 }
 
 /// Lint an already-parsed strategy. Spans are recovered by re-parsing
 /// the strategy's canonical `Display` text (Display/parse round-trips
 /// exactly), so they index into `strategy.to_string()`.
-pub fn lint_with_context(strategy: &Strategy, ctx: &LintContext) -> Vec<Diagnostic> {
+pub fn lint_strategy(strategy: &Strategy) -> Vec<Diagnostic> {
     let text = strategy.to_string();
     match parse_strategy_spanned(&text) {
-        Ok((reparsed, spans)) => lint_spanned(&reparsed, &spans, ctx),
+        Ok((reparsed, spans)) => lint_spanned(&reparsed, &spans),
         // Display text always re-parses; if it somehow does not, lint
         // with empty spans rather than losing the findings.
-        Err(_) => lint_spanned(strategy, &StrategySpans::default(), ctx),
+        Err(_) => lint_spanned(strategy, &StrategySpans::default()),
     }
 }
 
-/// The real worker: strategy + node spans + context → findings.
-pub fn lint_spanned(
-    strategy: &Strategy,
-    spans: &StrategySpans,
-    ctx: &LintContext,
-) -> Vec<Diagnostic> {
+/// The real worker: strategy + node spans → findings.
+pub fn lint_spanned(strategy: &Strategy, spans: &StrategySpans) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    lint_direction(&strategy.outbound, &spans.outbound, true, ctx, &mut out);
-    lint_direction(&strategy.inbound, &spans.inbound, false, ctx, &mut out);
+    lint_direction(&strategy.outbound, &spans.outbound, true, &mut out);
+    lint_direction(&strategy.inbound, &spans.inbound, false, &mut out);
     out.sort_by_key(|d| (d.span.start, d.span.end));
     out
 }
@@ -121,7 +95,6 @@ fn lint_direction(
     parts: &[StrategyPart],
     spans: &[PartSpans],
     outbound: bool,
-    ctx: &LintContext,
     out: &mut Vec<Diagnostic>,
 ) {
     for (i, part) in parts.iter().enumerate() {
@@ -142,7 +115,7 @@ fn lint_direction(
         part.action.walk(&mut |a| nodes.push(a));
         for (j, node) in nodes.iter().enumerate() {
             let span = node_spans.get(j).copied().unwrap_or(part_span);
-            lint_node(node, span, outbound, ctx, out);
+            lint_node(node, span, outbound, out);
         }
         lint_dup_amplification(&part.action, part_span, out);
 
@@ -153,10 +126,15 @@ fn lint_direction(
             lint_no_op_chain(&part.action, part_span, out);
             lint_checksum_futile_part(&paths, part_span, out);
             lint_synack_payload(part, &paths, part_span, out);
-            lint_window_zero(part, &paths, part_span, ctx, out);
-            if !shielded && ctx.tcp_exchange {
-                lint_handshake_flow(part, &paths, part_span, ctx, out);
-                lint_data_flow_severed(part, &paths, part_span, ctx, out);
+            lint_window_zero(part, &paths, part_span, out);
+            // The TCP-state-machine futility proofs are sound only
+            // because every application exchange rides a TCP handshake
+            // plus data flow (`appproto::AppProtocol`: DNS here is DNS
+            // over TCP, RFC 7766). A non-TCP protocol must make them
+            // stand down.
+            if !shielded {
+                lint_handshake_flow(part, &paths, part_span, out);
+                lint_data_flow_severed(part, &paths, part_span, out);
             }
         } else {
             lint_no_op_chain(&part.action, part_span, out);
@@ -314,13 +292,7 @@ fn lint_client_side_trigger(trigger: &Trigger, span: Span, out: &mut Vec<Diagnos
 // Node rules
 // ---------------------------------------------------------------------------
 
-fn lint_node(
-    node: &Action,
-    span: Span,
-    outbound: bool,
-    ctx: &LintContext,
-    out: &mut Vec<Diagnostic>,
-) {
+fn lint_node(node: &Action, span: Span, outbound: bool, out: &mut Vec<Diagnostic>) {
     match node {
         // `ttl-unreachable`: the tampered packet dies before the
         // middlebox, so it cannot even confuse the censor.
@@ -335,19 +307,18 @@ fn lint_node(
                 _ => None,
             };
             if let Some(ttl) = ttl {
-                if ttl < u64::from(ctx.hops_to_middlebox) {
+                if ttl < u64::from(HOPS_TO_MIDDLEBOX) {
                     out.push(diag(
                         Severity::Warning,
                         "ttl-unreachable",
                         span,
                         format!(
-                            "TTL {ttl} is below the {} hops to the middlebox; the packet \
-                             expires before the censor sees it",
-                            ctx.hops_to_middlebox
+                            "TTL {ttl} is below the {HOPS_TO_MIDDLEBOX} hops to the middlebox; \
+                             the packet expires before the censor sees it"
                         ),
                         Some(format!(
-                            "use a TTL in {}..{} to reach the censor but not the client",
-                            ctx.hops_to_middlebox, ctx.hops_to_client
+                            "use a TTL in {HOPS_TO_MIDDLEBOX}..{HOPS_TO_CLIENT} to reach the \
+                             censor but not the client"
                         )),
                         false,
                     ));
@@ -435,18 +406,18 @@ fn flags_advance_handshake(flags: TcpFlags) -> bool {
 
 /// The path's packet is not provably destroyed before the client:
 /// checksum not definitely broken and TTL not definitely short.
-fn reaches_client(p: &PathEffect, ctx: &LintContext) -> bool {
+fn reaches_client(p: &PathEffect) -> bool {
     !p.checksum_broken()
-        && p.ttl(ctx.default_ttl)
-            .is_none_or(|ttl| ttl >= u64::from(ctx.hops_to_client))
+        && p.ttl(DEFAULT_TTL)
+            .is_none_or(|ttl| ttl >= u64::from(HOPS_TO_CLIENT))
 }
 
 /// The path's packet *definitely* arrives at the client: checksum
 /// provably verifying and TTL provably sufficient. (Corrupted TTLs
 /// make [`reaches_client`] true but this false.)
-fn definitely_reaches_client(p: &PathEffect, ctx: &LintContext) -> bool {
+fn definitely_reaches_client(p: &PathEffect) -> bool {
     !p.checksum_broken()
-        && matches!(p.ttl(ctx.default_ttl), Some(ttl) if ttl >= u64::from(ctx.hops_to_client))
+        && matches!(p.ttl(DEFAULT_TTL), Some(ttl) if ttl >= u64::from(HOPS_TO_CLIENT))
 }
 
 /// `no-op-chain`: the whole action tree canonicalizes to a bare
@@ -527,7 +498,6 @@ fn lint_handshake_flow(
     part: &StrategyPart,
     paths: &[PathEffect],
     span: Span,
-    ctx: &LintContext,
     out: &mut Vec<Diagnostic>,
 ) {
     if !on_synack(part) {
@@ -542,7 +512,7 @@ fn lint_handshake_flow(
         // Inert tree: the SYN+ACK is swallowed entirely.
         is_inert(&part.action)
     } else {
-        !paths.iter().any(|p| reaches_client(p, ctx) && flags_ok(p))
+        !paths.iter().any(|p| reaches_client(p) && flags_ok(p))
     };
     if severed {
         let why = if paths.is_empty() {
@@ -572,7 +542,7 @@ fn lint_handshake_flow(
     // A path that actually completes the handshake: reaches the
     // client, advances by flags, and keeps the sequence space intact.
     let advances = |p: &PathEffect| {
-        if !reaches_client(p, ctx) {
+        if !reaches_client(p) {
             return false;
         }
         let seq_ok = p.effect("TCP:seq").is_none();
@@ -598,7 +568,7 @@ fn lint_handshake_flow(
         // must have been blocked by a seq/ack rewrite.
         let blocked_on_seq = paths
             .iter()
-            .any(|p| reaches_client(p, ctx) && flags_ok(p) && p.effect("TCP:seq").is_some());
+            .any(|p| reaches_client(p) && flags_ok(p) && p.effect("TCP:seq").is_some());
         let (code, field, consequence) = if blocked_on_seq {
             (
                 "seq-desync-kills-client",
@@ -635,7 +605,7 @@ fn lint_handshake_flow(
     // Handshake-viable packets exist — but does a lethal RST+ACK
     // definitely arrive before the first of them?
     let kills = |p: &PathEffect| {
-        definitely_reaches_client(p, ctx)
+        definitely_reaches_client(p)
             && p.effect("TCP:ack").is_none()
             && matches!(
                 p.emitted_flags(&part.trigger),
@@ -674,10 +644,9 @@ fn lint_window_zero(
     part: &StrategyPart,
     paths: &[PathEffect],
     span: Span,
-    ctx: &LintContext,
     out: &mut Vec<Diagnostic>,
 ) {
-    if !on_synack(part) || !ctx.tcp_exchange {
+    if !on_synack(part) {
         return;
     }
     let stalls = paths.iter().any(|p| {
@@ -713,7 +682,6 @@ fn lint_data_flow_severed(
     part: &StrategyPart,
     paths: &[PathEffect],
     span: Span,
-    ctx: &LintContext,
     out: &mut Vec<Diagnostic>,
 ) {
     let t = &part.trigger;
@@ -724,7 +692,7 @@ fn lint_data_flow_severed(
     let severed = if paths.is_empty() {
         is_inert(&part.action)
     } else {
-        !paths.iter().any(|p| reaches_client(p, ctx))
+        !paths.iter().any(reaches_client)
     };
     if severed {
         let why = if paths.is_empty() {
@@ -801,14 +769,6 @@ mod tests {
 
     fn codes(src: &str) -> Vec<&'static str> {
         lint(src).expect("parses").iter().map(|d| d.code).collect()
-    }
-
-    fn codes_ctx(src: &str, ctx: &LintContext) -> Vec<&'static str> {
-        let strategy = parse_strategy(src).expect("parses");
-        lint_with_context(&strategy, ctx)
-            .iter()
-            .map(|d| d.code)
-            .collect()
     }
 
     #[test]
@@ -1107,16 +1067,6 @@ mod tests {
         // stands.
         let c = codes("[TCP:flags:S]-duplicate(,)-|[TCP:flags:SA]-drop-| \\/ ");
         assert!(c.contains(&"handshake-severed"), "{c:?}");
-    }
-
-    #[test]
-    fn tcp_futility_proofs_respect_tcp_exchange_flag() {
-        let ctx = LintContext {
-            tcp_exchange: false,
-            ..LintContext::default()
-        };
-        let c = codes_ctx("[TCP:flags:SA]-drop-| \\/ ", &ctx);
-        assert!(!c.contains(&"handshake-severed"), "{c:?}");
     }
 
     #[test]
