@@ -2,10 +2,11 @@
 //!
 //! Two backends ship with the crate:
 //!
-//! * **In-sim** — [`crate::sim::DplaneEndpoint`] adapts a [`crate::Dplane`]
-//!   onto `netsim`'s `Endpoint` trait, so any paper experiment can route
-//!   the server's traffic through the compiled data plane (asserted
-//!   bit-identical to the interpreter path by `harness` tests).
+//! * **In-sim** — a [`crate::Dplane`] is a `geneva::Rewrite`, so
+//!   `geneva::StrategicEndpoint` puts it on `netsim`'s `Endpoint` trait
+//!   and any paper experiment can route the server's traffic through
+//!   the compiled data plane (asserted bit-identical to the interpreter
+//!   path by `harness` tests).
 //! * **Pcap replay** — [`PcapReplay`] feeds a `netsim::pcap` capture
 //!   through [`PacketIo`] for offline throughput benchmarking
 //!   (`cay bench` → `BENCH_dplane.json`, `cay dplane <file.pcap>`).

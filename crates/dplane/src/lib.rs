@@ -11,9 +11,10 @@
 //!   ([`program`]).
 //! * [`FlowTable`] — a 4-tuple-keyed flow table with idle timeout and
 //!   a deterministic capacity LRU ([`flow`]).
-//! * [`PacketIo`] — the packet boundary, with in-sim
-//!   ([`sim::DplaneEndpoint`]) and pcap-replay ([`io::PcapReplay`])
-//!   backends.
+//! * [`PacketIo`] — the packet boundary, with an in-memory
+//!   ([`io::VecIo`]) and a pcap-replay ([`io::PcapReplay`]) backend; in
+//!   the simulator a [`Dplane`] is a `geneva::Rewrite`, so it slots
+//!   into `geneva::StrategicEndpoint` where the interpreter would.
 //! * [`MetricsReport`] — flow-table counters exported as JSON
 //!   (`cay dplane`).
 //!
@@ -29,16 +30,13 @@ pub mod flow;
 pub mod io;
 pub mod metrics;
 pub mod program;
-pub mod sim;
 
 pub use flow::{FlowConfig, FlowTable, Touch};
 pub use io::{PacketIo, PcapReplay, VecIo};
 pub use metrics::{MetricsReport, ShardMetrics};
 pub use program::{
-    lower_ops, proof_facts, CompiledPart, Matcher, Op, Program, ProgramCache, ProgramProof,
-    VerifyError,
+    lower_ops, verify, CompiledPart, Matcher, Op, Program, ProgramCache, ProgramProof, VerifyError,
 };
-pub use sim::DplaneEndpoint;
 
 use geneva::Strategy;
 use packet::{FlowKey, Packet};
@@ -240,6 +238,21 @@ impl<C: Classifier> Dplane<C> {
     }
 }
 
+/// The compiled rewriter behind a `geneva::StrategicEndpoint`: with a
+/// [`FixedClassifier`] carrying a trial's strategy and a fixed seed
+/// equal to the trial's engine seed, the wrapped host emits the same
+/// packets as under the interpreter (`harness` asserts this for the
+/// full Table 2 experiment).
+impl<C: Classifier> geneva::Rewrite for Dplane<C> {
+    fn outbound(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>) {
+        self.process_outbound(pkt, now, out);
+    }
+
+    fn inbound(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>) {
+        self.process_inbound(pkt, now, out);
+    }
+}
+
 /// FNV-1a of the canonical flow key: the input to per-flow seeds.
 pub(crate) fn key_hash(key: &FlowKey) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -259,16 +272,15 @@ pub(crate) fn key_hash(key: &FlowKey) -> u64 {
 /// Per-flow seed: splitmix64 over the base XOR [`key_hash`]. Pure in
 /// (base, key), so eviction and return rebuild the same seed.
 fn flow_seed(base: u64, key: &FlowKey) -> u64 {
-    let mut z = (base ^ key_hash(key)).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    netsim::splitmix64(base ^ key_hash(key))
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)] // test code
     use super::*;
+    use geneva::StrategicEndpoint;
+    use netsim::{Endpoint, Io};
     use packet::TcpFlags;
 
     fn syn(client: [u8; 4]) -> Packet {
@@ -340,5 +352,80 @@ mod tests {
         assert_eq!(processed, 2);
         // SYN passed through + RST & SYN from the rewritten SYN+ACK.
         assert_eq!(io.output.len(), 3);
+    }
+
+    /// An endpoint that replies to any packet with a SYN+ACK.
+    struct SynAcker;
+
+    impl Endpoint for SynAcker {
+        fn on_start(&mut self, _now: u64, _io: &mut Io) {}
+        fn on_packet(&mut self, pkt: Packet, _now: u64, io: &mut Io) {
+            let mut sa = Packet::tcp(
+                pkt.ip.dst,
+                pkt.dst_port(),
+                pkt.ip.src,
+                pkt.src_port(),
+                TcpFlags::SYN_ACK,
+                100,
+                pkt.tcp_header().map(|t| t.seq + 1).unwrap_or(0),
+                vec![],
+            );
+            sa.finalize();
+            io.send(sa);
+        }
+        fn on_wake(&mut self, _now: u64, _io: &mut Io) {}
+    }
+
+    #[test]
+    fn matches_strategic_endpoint_byte_for_byte() {
+        let strategy = geneva::library::STRATEGY_1.strategy();
+        let seed = 7;
+
+        let mut interpreted =
+            StrategicEndpoint::new(SynAcker, geneva::Engine::new(strategy.clone(), seed));
+        let mut compiled = StrategicEndpoint::new(
+            SynAcker,
+            Dplane::new(
+                DplaneConfig {
+                    seed: SeedMode::Fixed(seed),
+                    ..DplaneConfig::default()
+                },
+                FixedClassifier(Some(Arc::new(strategy))),
+            ),
+        );
+
+        let mut syn = Packet::tcp(
+            [10, 7, 0, 2],
+            1111,
+            [2; 4],
+            80,
+            TcpFlags::SYN,
+            50,
+            0,
+            vec![],
+        );
+        syn.finalize();
+        let (mut io_a, mut io_b) = (Io::default(), Io::default());
+        interpreted.on_packet(syn.clone(), 0, &mut io_a);
+        compiled.on_packet(syn, 0, &mut io_b);
+        assert_eq!(io_a.out, io_b.out);
+        assert_eq!(io_b.out.len(), 2, "strategy 1 emits RST then SYN");
+    }
+
+    #[test]
+    fn inbound_rules_shield_the_inner_host() {
+        let strategy = geneva::parse_strategy(" \\/ [TCP:flags:R]-drop-|").unwrap();
+        let mut wrapped = StrategicEndpoint::new(
+            SynAcker,
+            Dplane::new(
+                DplaneConfig::default(),
+                FixedClassifier(Some(Arc::new(strategy))),
+            ),
+        );
+        let mut rst = Packet::tcp([1; 4], 1, [2; 4], 2, TcpFlags::RST, 0, 0, vec![]);
+        rst.finalize();
+        let mut io = Io::default();
+        wrapped.on_packet(rst, 0, &mut io);
+        assert!(io.out.is_empty(), "inner never saw the RST");
     }
 }

@@ -38,8 +38,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use strata::absint::{AbsOp, TamperKind};
-use strata::censor_model::{check_all, CensorId, Verdict};
-use strata::CanonKey;
+use strata::{CanonKey, ProgramFacts, ReportEntry};
 
 /// One instruction of the packet stack machine.
 ///
@@ -237,31 +236,35 @@ pub struct Program {
     /// Discharged proof obligations: every compiled body verified, so
     /// a `Program` value is itself the proof that it passed the gate.
     pub proof: ProgramProof,
-    /// Per-censor static verdicts from the product model checker,
-    /// computed once at compile time. Programs are cached per
-    /// [`CanonKey`], so the verdicts ride the cache: a genome that
-    /// canonicalizes to a known class never re-runs the checker.
-    pub verdicts: Vec<(CensorId, Verdict)>,
 }
 
-/// The proof facts a [`Program::compile`] result shows in a `cay
-/// verify` report or a reload verdict: the discharged bounds, or the
-/// verifier's complaint.
-pub fn proof_facts(compiled: &Result<Program, VerifyError>) -> strata::ProgramFacts {
-    match compiled {
-        Ok(program) => strata::ProgramFacts {
+/// One strategy's whole verification record, built from the text it
+/// prints: [`ReportEntry::from_source`] (spanned lints, canonical form,
+/// per-censor verdicts) plus the compiled program's proof facts. The
+/// program comes back too when it verified, so a reload can queue
+/// exactly what it reported on. `cay verify` and `POST /config` both
+/// build their reports here.
+pub fn verify(
+    label: &str,
+    source: &str,
+) -> Result<(ReportEntry, Option<Program>), geneva::ParseError> {
+    let (mut entry, strategy) = ReportEntry::from_source(label, source)?;
+    let compiled = Program::compile(&strategy);
+    entry.program = Some(match &compiled {
+        Ok(program) => ProgramFacts {
             verified: true,
             error: None,
             max_stack: program.proof.max_stack,
             max_emit: program.proof.max_emit,
         },
-        Err(e) => strata::ProgramFacts {
+        Err(e) => ProgramFacts {
             verified: false,
             error: Some(e.to_string()),
             max_stack: 0,
             max_emit: 0,
         },
-    }
+    });
+    Ok((entry, compiled.ok()))
 }
 
 impl Program {
@@ -272,7 +275,6 @@ impl Program {
         let canonical = strata::canonicalize_strategy(strategy);
         let key = CanonKey::of(&canonical);
         let canonical_text = canonical.to_string();
-        let verdicts = check_all(&strata::summarize(&canonical));
         let mut outbound: Vec<CompiledPart> = canonical.outbound.iter().map(compile_part).collect();
         let mut inbound: Vec<CompiledPart> = canonical.inbound.iter().map(compile_part).collect();
         let mut proof = ProgramProof {
@@ -304,7 +306,6 @@ impl Program {
             key,
             canonical_text,
             proof,
-            verdicts,
         })
     }
 
@@ -764,31 +765,34 @@ mod tests {
     }
 
     #[test]
-    fn compiled_programs_carry_per_censor_verdicts() {
-        // Strategy 11 (null flags): the model checker proves the
-        // Kazakhstan HTTP filter writes the flow off, and the verdict
-        // travels with the cached program.
-        let s11 =
-            parse_strategy("[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:},)-| \\/ ").unwrap();
-        let cache = ProgramCache::new();
-        let program = cache.get_or_verify(&s11).unwrap();
-        assert!(program
+    fn verify_records_verdicts_and_returns_the_program() {
+        use strata::{CensorId, Verdict};
+        // Strategy 11 (null flags): the record carries all four
+        // verdicts, and the program it returns is the one its facts
+        // describe.
+        let text = "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:},)-| \\/ ";
+        let (entry, program) = verify("s11", text).unwrap();
+        let program = program.unwrap();
+        assert!(entry
             .verdicts
             .contains(&(CensorId::Kazakhstan, Verdict::ProvablyDesynced)));
-        // The stochastic GFW never receives a claim.
-        assert!(program
-            .verdicts
-            .contains(&(CensorId::Gfw, Verdict::Unknown)));
+        assert_eq!(entry.verdicts.len(), 4);
+        assert_eq!(entry.key, program.key);
+        let facts = entry.program.unwrap();
+        assert!(facts.verified);
+        assert_eq!(
+            (facts.max_stack, facts.max_emit),
+            (program.proof.max_stack, program.proof.max_emit)
+        );
 
-        // A cache hit reuses the verdicts without re-checking.
-        let again = cache.get_or_verify(&s11).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(again.verdicts, program.verdicts);
-
-        // Identity: provably inert everywhere deterministic.
-        let identity = Program::compile(&parse_strategy(" \\/ ").unwrap()).unwrap();
-        assert!(identity
-            .verdicts
-            .contains(&(CensorId::Kazakhstan, Verdict::ProvablyInert)));
+        // A refused program still gets its strategy's verdicts.
+        let mut bomb = "duplicate".to_string();
+        for _ in 0..=strata::absint::MAX_STACK {
+            bomb = format!("duplicate({bomb},)");
+        }
+        let (entry, program) = verify("bomb", &format!("[TCP:flags:SA]-{bomb}-| \\/")).unwrap();
+        assert!(program.is_none());
+        assert!(!entry.program.unwrap().verified);
+        assert_eq!(entry.verdicts.len(), 4);
     }
 }

@@ -26,7 +26,7 @@
 #![allow(clippy::cast_possible_truncation)]
 use crate::conn::{BreakReason, TcpConn, TcpState};
 use crate::profile::OsProfile;
-use netsim::{Endpoint, Io};
+use netsim::{splitmix64, Endpoint, Io};
 use packet::{Packet, TcpFlags};
 use std::collections::HashMap;
 
@@ -149,14 +149,6 @@ impl Outcome {
     pub fn is_success(self) -> bool {
         self == Outcome::Success
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// An unmodified client host.

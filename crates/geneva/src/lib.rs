@@ -28,8 +28,9 @@
 //!   client-compatibility fixes, and the client-side strategies whose
 //!   server-side analogs §3 shows failing;
 //! * [`wrapper`] — [`wrapper::StrategicEndpoint`], which wraps any
-//!   `netsim` endpoint and rewrites its traffic through a strategy,
-//!   i.e. "deploying Geneva at the server".
+//!   `netsim` endpoint and rewrites its traffic through a strategy
+//!   (any [`wrapper::Rewrite`]; the [`Engine`] by default), i.e.
+//!   "deploying Geneva at the server".
 //!
 //! ```
 //! use geneva::{parse_strategy, Engine};
@@ -62,7 +63,7 @@ pub use ast::{Action, Span, Strategy, StrategyPart, TamperMode, Trigger};
 pub use engine::Engine;
 pub use explain::explain;
 pub use parser::{parse_strategy, parse_strategy_spanned, PartSpans, StrategySpans};
-pub use wrapper::StrategicEndpoint;
+pub use wrapper::{Rewrite, StrategicEndpoint};
 
 /// Errors from parsing strategy text.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,22 +3,53 @@
 //!
 //! [`StrategicEndpoint`] wraps any `netsim::Endpoint` (in practice the
 //! stock `endpoint::ServerHost`) and rewrites the packets it emits
-//! through a strategy [`Engine`] — exactly how the paper deploys
-//! evasion: the server's TCP stack is unmodified; a packet-level shim
-//! (their extended Geneva) intercepts outbound packets and applies the
+//! through a [`Rewrite`] — exactly how the paper deploys evasion: the
+//! server's TCP stack is unmodified; a packet-level shim (their
+//! extended Geneva) intercepts outbound packets and applies the
 //! strategy. Inbound rules, when present, rewrite received packets
-//! before the stack sees them.
+//! before the stack sees them. The rewriter is the strategy [`Engine`]
+//! by default; the compiled data plane (`dplane::Dplane`) is the other
+//! one, and emits the same packets.
 
 use crate::engine::Engine;
 use netsim::{Endpoint, Io};
 use packet::Packet;
 
-/// An endpoint with a Geneva strategy bolted onto its wire interface.
-pub struct StrategicEndpoint<E> {
+/// What rewrites the packets crossing a [`StrategicEndpoint`]'s wire
+/// interface. Both methods append their emissions to `out`.
+pub trait Rewrite: Send {
+    /// Rewrite one packet the inner host sent.
+    fn outbound(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>);
+    /// Rewrite one received packet before the inner host sees it.
+    fn inbound(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>);
+}
+
+impl Rewrite for Engine {
+    fn outbound(&mut self, pkt: &Packet, _now: u64, out: &mut Vec<Packet>) {
+        self.apply_outbound_into(pkt, out);
+    }
+
+    fn inbound(&mut self, pkt: &Packet, _now: u64, out: &mut Vec<Packet>) {
+        self.apply_inbound_into(pkt, out);
+    }
+}
+
+impl<R: Rewrite + ?Sized> Rewrite for Box<R> {
+    fn outbound(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>) {
+        (**self).outbound(pkt, now, out);
+    }
+
+    fn inbound(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>) {
+        (**self).inbound(pkt, now, out);
+    }
+}
+
+/// An endpoint with a strategy bolted onto its wire interface.
+pub struct StrategicEndpoint<E, R = Engine> {
     /// The unmodified inner host.
     pub inner: E,
-    /// The strategy engine.
-    pub engine: Engine,
+    /// What rewrites its packets.
+    pub rewrite: R,
     /// Steady-state scratch: the emitted packets are swapped in here
     /// while the rewritten stream is built back into `io.out`, so the
     /// per-call buffer churn of `mem::take` never hits the allocator.
@@ -27,46 +58,46 @@ pub struct StrategicEndpoint<E> {
     in_scratch: Vec<Packet>,
 }
 
-impl<E: Endpoint> StrategicEndpoint<E> {
-    /// Wrap `inner` with `engine`.
-    pub fn new(inner: E, engine: Engine) -> Self {
+impl<E: Endpoint, R: Rewrite> StrategicEndpoint<E, R> {
+    /// Wrap `inner` with `rewrite`.
+    pub fn new(inner: E, rewrite: R) -> Self {
         StrategicEndpoint {
             inner,
-            engine,
+            rewrite,
             scratch: Vec::new(),
             in_scratch: Vec::new(),
         }
     }
 
-    fn transform_out(&mut self, io: &mut Io) {
+    fn transform_out(&mut self, now: u64, io: &mut Io) {
         std::mem::swap(&mut io.out, &mut self.scratch);
         io.out.clear();
         for pkt in self.scratch.drain(..) {
-            self.engine.apply_outbound_into(&pkt, &mut io.out);
+            self.rewrite.outbound(&pkt, now, &mut io.out);
         }
     }
 }
 
-impl<E: Endpoint> Endpoint for StrategicEndpoint<E> {
+impl<E: Endpoint, R: Rewrite> Endpoint for StrategicEndpoint<E, R> {
     fn on_start(&mut self, now: u64, io: &mut Io) {
         self.inner.on_start(now, io);
-        self.transform_out(io);
+        self.transform_out(now, io);
     }
 
     fn on_packet(&mut self, pkt: Packet, now: u64, io: &mut Io) {
         let mut rewritten = std::mem::take(&mut self.in_scratch);
         rewritten.clear();
-        self.engine.apply_inbound_into(&pkt, &mut rewritten);
+        self.rewrite.inbound(&pkt, now, &mut rewritten);
         for p in rewritten.drain(..) {
             self.inner.on_packet(p, now, io);
         }
         self.in_scratch = rewritten;
-        self.transform_out(io);
+        self.transform_out(now, io);
     }
 
     fn on_wake(&mut self, now: u64, io: &mut Io) {
         self.inner.on_wake(now, io);
-        self.transform_out(io);
+        self.transform_out(now, io);
     }
 }
 

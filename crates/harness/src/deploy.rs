@@ -389,11 +389,7 @@ pub fn ab_bucket(addr: [u8; 4]) -> u8 {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    let mut z = hash.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    u8::try_from(z % 100).unwrap_or(0)
+    u8::try_from(netsim::splitmix64(hash) % 100).unwrap_or(0)
 }
 
 /// One arm of a percentage rollout: `percent`% of a prefix's clients

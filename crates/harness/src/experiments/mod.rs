@@ -2,7 +2,8 @@
 //!
 //! Every driver returns a structured result with a `render()` method
 //! producing the text the paper's table or figure would show; the
-//! `cay` subcommands (and `examples/lossy_network.rs`) call these
+//! `cay` subcommands (and `examples/lossy_network.rs`, for the
+//! robustness sweep) call these
 //! directly, and the integration tests assert on the *shape* of the
 //! results (who wins, by roughly what factor, where crossovers fall).
 

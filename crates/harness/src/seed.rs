@@ -14,15 +14,7 @@
 //! seed independently on any worker — seed sequences never depend on
 //! execution order or worker count.
 
-/// The splitmix64 finalizer (Steele, Lea & Flood; also xorshift's
-/// recommended seeder). Bijective on `u64`, full avalanche.
-#[must_use]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use netsim::splitmix64;
 
 /// Derive the seed for trial `index` of the experiment cell `cell_tag`
 /// under master seed `base`.

@@ -3,12 +3,11 @@
 
 use appproto::{http, tls, AppProtocol};
 use censor::{Carrier, CarrierMiddlebox, Country, Gfw};
-use dplane::{Dplane, DplaneConfig, DplaneEndpoint, FixedClassifier, SeedMode};
+use dplane::{Dplane, DplaneConfig, FixedClassifier, SeedMode};
 use endpoint::{ClientApp, ClientHost, OsProfile, Outcome, ServerApp, ServerHost};
-use geneva::{Engine, StrategicEndpoint, Strategy};
+use geneva::{Engine, Rewrite, StrategicEndpoint, Strategy};
 use netsim::sim::NullMiddlebox;
-use netsim::{Endpoint, Io, Middlebox, PathConfig, Simulation, Trace};
-use packet::Packet;
+use netsim::{Middlebox, PathConfig, Simulation, Trace};
 use std::sync::Arc;
 
 /// Addresses used throughout the experiments.
@@ -231,47 +230,6 @@ impl TrialResult {
     }
 }
 
-/// The server behind either wire interface: the per-trial interpreter
-/// (`StrategicEndpoint`) or the compiled data plane (`DplaneEndpoint`).
-/// One enum keeps `run_trial`'s simulation code monomorphic; the
-/// larger data-plane variant is boxed.
-enum ServerWrap {
-    Interpreter(StrategicEndpoint<ServerHost<Box<dyn ServerApp>>>),
-    Dplane(Box<DplaneEndpoint<ServerHost<Box<dyn ServerApp>>, FixedClassifier>>),
-}
-
-impl ServerWrap {
-    fn responded_any(&self) -> bool {
-        match self {
-            ServerWrap::Interpreter(s) => s.inner.responded_any(),
-            ServerWrap::Dplane(s) => s.inner.responded_any(),
-        }
-    }
-}
-
-impl Endpoint for ServerWrap {
-    fn on_start(&mut self, now: u64, io: &mut Io) {
-        match self {
-            ServerWrap::Interpreter(s) => s.on_start(now, io),
-            ServerWrap::Dplane(s) => s.on_start(now, io),
-        }
-    }
-
-    fn on_packet(&mut self, pkt: Packet, now: u64, io: &mut Io) {
-        match self {
-            ServerWrap::Interpreter(s) => s.on_packet(pkt, now, io),
-            ServerWrap::Dplane(s) => s.on_packet(pkt, now, io),
-        }
-    }
-
-    fn on_wake(&mut self, now: u64, io: &mut Io) {
-        match self {
-            ServerWrap::Interpreter(s) => s.on_wake(now, io),
-            ServerWrap::Dplane(s) => s.on_wake(now, io),
-        }
-    }
-}
-
 /// Run one trial to completion (up to 30 simulated seconds).
 pub fn run_trial(cfg: &TrialConfig) -> TrialResult {
     let mut scratch = TrialScratch::new();
@@ -320,23 +278,20 @@ pub fn run_trial_scratch(cfg: &TrialConfig, scratch: &mut TrialScratch) -> Trial
             cfg.seed ^ 0xC0DE,
         ),
     );
-    let server = if cfg.route_via_dplane {
-        ServerWrap::Dplane(Box::new(DplaneEndpoint::new(
-            server_host,
-            Dplane::new(
-                DplaneConfig {
-                    seed: SeedMode::Fixed(cfg.seed ^ 0x5EED),
-                    ..DplaneConfig::default()
-                },
-                FixedClassifier(Some(Arc::clone(&cfg.strategy))),
-            ),
-        )))
-    } else {
-        ServerWrap::Interpreter(StrategicEndpoint::new(
-            server_host,
-            Engine::new(Arc::clone(&cfg.strategy), cfg.seed ^ 0x5EED),
+    // The server's wire interface: the per-trial interpreter, or the
+    // compiled data plane.
+    let rewrite: Box<dyn Rewrite> = if cfg.route_via_dplane {
+        Box::new(Dplane::new(
+            DplaneConfig {
+                seed: SeedMode::Fixed(cfg.seed ^ 0x5EED),
+                ..DplaneConfig::default()
+            },
+            FixedClassifier(Some(Arc::clone(&cfg.strategy))),
         ))
+    } else {
+        Box::new(Engine::new(Arc::clone(&cfg.strategy), cfg.seed ^ 0x5EED))
     };
+    let server = StrategicEndpoint::new(server_host, rewrite);
 
     // The null middlebox never injects or drops, so counting its
     // trace yields the 0 censor events a censor-free path has.
@@ -362,7 +317,7 @@ pub fn run_trial_scratch(cfg: &TrialConfig, scratch: &mut TrialScratch) -> Trial
     let stop = sim.run(30_000_000);
     let verdict = TrialVerdict {
         outcome: sim.client.inner.outcome(),
-        server_responded: sim.server.responded_any(),
+        server_responded: sim.server.inner.responded_any(),
         censor_events: sim.trace.count(|e| {
             matches!(
                 e,

@@ -38,6 +38,20 @@ pub mod trace;
 pub use event::{Event, EventQueue};
 pub use fault::FaultInjector;
 pub use sim::{Endpoint, Io, Middlebox, PathConfig, SimBuffers, Simulation, StopReason, Verdict};
+
+/// The splitmix64 finalizer (Steele, Lea & Flood; also xorshift's
+/// recommended seeder). Bijective on `u64`, full avalanche. The one
+/// copy behind the workspace's derived seeds and hash buckets: trial
+/// seeds, initial sequence numbers, per-flow corrupt seeds and A/B
+/// rollout buckets.
+#[inline]
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 pub use trace::{Trace, TraceEvent, TracePoint};
 
 /// Which way a packet is traveling through the path.

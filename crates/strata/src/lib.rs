@@ -10,9 +10,10 @@
 //! 2. [`lint`] emits a stream of [`Diagnostic`]s — machine-readable
 //!    findings with severities, stable codes, and byte-offset spans
 //!    into the strategy source;
-//! 3. [`analyze`] combines both into the verdict the evolution
-//!    harness consumes (canonical form + key + diagnostics + an
-//!    is-it-even-worth-simulating flag).
+//! 3. [`ReportEntry::from_source`] combines both, plus the per-censor
+//!    verdicts, into one strategy's verification record, built from
+//!    the very text the report prints (`dplane::verify` adds the
+//!    compiled program's proof facts).
 //!
 //! Underneath the lints sits [`absint`], an abstract interpreter with
 //! two front ends: `FieldEffect` summaries over strategy trees (what
@@ -46,35 +47,3 @@ pub use diagnostics::{line_col, Diagnostic, Severity};
 pub use lints::{lint, lint_strategy, AMPLIFICATION_LIMIT};
 pub use report::{render_verdict_matrix, ProgramFacts, ReportEntry};
 pub use unsafe_scan::{scan_unsafe, UnsafeFinding, UnsafeScanReport, UNSAFE_ALLOWLIST};
-
-/// Everything the harness wants to know about a strategy before
-/// spending simulator time on it.
-#[derive(Debug, Clone)]
-pub struct Analysis {
-    /// The strategy rewritten to canonical form.
-    pub canonical: geneva::Strategy,
-    /// Equivalence-class hash of the canonical form.
-    pub key: CanonKey,
-    /// All lint findings, in source order.
-    pub diagnostics: Vec<Diagnostic>,
-    /// True when some `Severity::Error` diagnostic proves the strategy
-    /// cannot possibly beat the identity strategy (e.g. it is a
-    /// semantic no-op, or every emitted packet dies in transit).
-    pub statically_futile: bool,
-}
-
-/// Run the full pipeline on one strategy.
-pub fn analyze(strategy: &geneva::Strategy) -> Analysis {
-    let canonical = canonicalize_strategy(strategy);
-    let key = CanonKey::of(&canonical);
-    let diagnostics = lint_strategy(strategy);
-    let statically_futile = diagnostics
-        .iter()
-        .any(|d| d.severity == Severity::Error && d.proves_futile);
-    Analysis {
-        canonical,
-        key,
-        diagnostics,
-        statically_futile,
-    }
-}

@@ -765,7 +765,6 @@ fn lint_synack_payload(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test code
     use super::*;
-    use geneva::parse_strategy;
 
     fn codes(src: &str) -> Vec<&'static str> {
         lint(src).expect("parses").iter().map(|d| d.code).collect()
@@ -1075,11 +1074,11 @@ mod tests {
         // the identity strategy in the paper's measurements, so none
         // may ever be rejected statically.
         for named in geneva::library::server_side() {
-            let analysis = crate::analyze(&named.strategy());
+            let (entry, _) = crate::ReportEntry::from_source(named.name, named.text).unwrap();
             assert!(
-                !analysis.statically_futile,
+                !entry.statically_futile,
                 "{} wrongly proven futile: {:?}",
-                named.name, analysis.diagnostics
+                named.name, entry.diagnostics
             );
         }
     }
@@ -1097,10 +1096,15 @@ mod tests {
 
     #[test]
     fn analysis_marks_futile_strategies() {
-        let severed = parse_strategy("[TCP:flags:SA]-drop-| \\/ ").expect("parses");
-        assert!(crate::analyze(&severed).statically_futile);
-        let fine = parse_strategy("[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},)-| \\/ ")
-            .expect("parses");
-        assert!(!crate::analyze(&fine).statically_futile);
+        let futile = |src| {
+            crate::ReportEntry::from_source("t", src)
+                .unwrap()
+                .0
+                .statically_futile
+        };
+        assert!(futile("[TCP:flags:SA]-drop-| \\/ "));
+        assert!(!futile(
+            "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},)-| \\/ "
+        ));
     }
 }

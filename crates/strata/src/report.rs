@@ -1,20 +1,23 @@
-//! Rendering for `cay verify`: one [`ReportEntry`] per strategy,
-//! emitted as human-readable text, plain JSON, or SARIF 2.1.0 (the
-//! static-analysis interchange format CI annotators consume).
+//! A strategy's verification record ([`ReportEntry`], built by
+//! [`ReportEntry::from_source`]) and its renderings for `cay verify`
+//! and `POST /config`: human-readable text, plain JSON, or SARIF 2.1.0
+//! (the static-analysis interchange format CI annotators consume).
 //!
 //! JSON and SARIF are written through [`crate::json::Json`], the
 //! workspace's one JSON writer.
 
-use crate::canon::CanonKey;
-use crate::censor_model::{CensorId, Verdict};
+use crate::absint::summarize;
+use crate::canon::{canonicalize_strategy, CanonKey};
+use crate::censor_model::{check_all, CensorId, Verdict};
 use crate::diagnostics::{line_col, Diagnostic, Severity};
 use crate::json::Json;
-use crate::lints::AMPLIFICATION_LIMIT;
+use crate::lints::{lint_spanned, AMPLIFICATION_LIMIT};
 use crate::unsafe_scan::UnsafeScanReport;
+use geneva::{parse_strategy_spanned, ParseError, Strategy};
 
 /// What the abstract interpreter proved (or failed to prove) about a
 /// strategy's compiled program. Kept as plain data so `strata` never
-/// needs to see `dplane`'s error types: the binary fills it in.
+/// needs to see `dplane`'s error types: `dplane::verify` fills it in.
 #[derive(Debug, Clone)]
 pub struct ProgramFacts {
     /// All proof obligations discharged.
@@ -45,8 +48,8 @@ pub struct ReportEntry {
     /// Lint findings, in source order.
     pub diagnostics: Vec<Diagnostic>,
     /// Per-censor verdicts from the product model checker
-    /// ([`crate::censor_model::check_all`]); empty when no censor was
-    /// requested. Verdicts are informational — `ProvablyInert` means
+    /// ([`crate::censor_model::check_all`]); `cay verify` keeps only
+    /// the censors it was asked about (none by default). Verdicts are informational — `ProvablyInert` means
     /// the censor provably sees an identity flow, never that the
     /// strategy is broken — so they do not affect [`failing`].
     ///
@@ -58,6 +61,31 @@ pub struct ReportEntry {
 }
 
 impl ReportEntry {
+    /// Build a strategy's verification record from the text the report
+    /// prints: parse `source` once with spans, lint against those
+    /// spans (so every diagnostic indexes `source` itself), then
+    /// canonicalize and check the strategy against all four censors.
+    /// The program facts stay `None` — `strata` cannot compile, so
+    /// `dplane::verify` fills them in from the returned strategy.
+    pub fn from_source(label: &str, source: &str) -> Result<(ReportEntry, Strategy), ParseError> {
+        let (strategy, spans) = parse_strategy_spanned(source)?;
+        let diagnostics = lint_spanned(&strategy, &spans);
+        let canonical = canonicalize_strategy(&strategy);
+        let entry = ReportEntry {
+            label: label.to_string(),
+            source: source.to_string(),
+            canonical: canonical.to_string(),
+            key: CanonKey::of(&canonical),
+            statically_futile: diagnostics
+                .iter()
+                .any(|d| d.severity == Severity::Error && d.proves_futile),
+            diagnostics,
+            verdicts: check_all(&summarize(&strategy)),
+            program: None,
+        };
+        Ok((entry, strategy))
+    }
+
     /// This entry should fail a `cay verify` run: a futility proof,
     /// any error-severity diagnostic, or a program that failed
     /// verification.
@@ -598,27 +626,16 @@ pub fn render_unsafe_sarif(report: &UnsafeScanReport) -> String {
 mod tests {
     #![allow(clippy::unwrap_used)] // test code
     use super::*;
-    use crate::analyze;
-    use geneva::parse_strategy;
 
     fn entry(source: &str, verified: bool) -> ReportEntry {
-        let strategy = parse_strategy(source).unwrap();
-        let a = analyze(&strategy);
-        ReportEntry {
-            label: "test".into(),
-            source: source.into(),
-            canonical: a.canonical.to_string(),
-            key: a.key,
-            statically_futile: a.statically_futile,
-            diagnostics: a.diagnostics,
-            verdicts: crate::censor_model::check_all(&crate::summarize(&strategy)),
-            program: Some(ProgramFacts {
-                verified,
-                error: (!verified).then(|| "op 1 jumps backward to 0".into()),
-                max_stack: 2,
-                max_emit: 2,
-            }),
-        }
+        let (mut e, _) = ReportEntry::from_source("test", source).unwrap();
+        e.program = Some(ProgramFacts {
+            verified,
+            error: (!verified).then(|| "op 1 jumps backward to 0".into()),
+            max_stack: 2,
+            max_emit: 2,
+        });
+        e
     }
 
     #[test]

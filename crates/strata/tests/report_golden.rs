@@ -7,25 +7,15 @@
 //! file is the contract; a diff against it is a change to a public
 //! output format.
 
-use strata::censor_model::check_all;
 use strata::report::{
     render_json, render_reload_json, render_sarif, render_unsafe_json, render_unsafe_sarif,
 };
 use strata::{ProgramFacts, ReportEntry, UnsafeFinding, UnsafeScanReport, AMPLIFICATION_LIMIT};
 
 fn entry(label: &str, source: &str, program: Option<ProgramFacts>) -> ReportEntry {
-    let strategy = geneva::parse_strategy(source).unwrap();
-    let analysis = strata::analyze(&strategy);
-    ReportEntry {
-        label: label.into(),
-        source: source.into(),
-        canonical: analysis.canonical.to_string(),
-        key: analysis.key,
-        statically_futile: analysis.statically_futile,
-        diagnostics: analysis.diagnostics,
-        verdicts: check_all(&strata::summarize(&strategy)),
-        program,
-    }
+    let (mut entry, _) = ReportEntry::from_source(label, source).unwrap();
+    entry.program = program;
+    entry
 }
 
 fn entries() -> Vec<ReportEntry> {

@@ -6,10 +6,12 @@
 //! **outside** the data plane's program cache:
 //!
 //! 1. the DSL must parse (spanned [`TableParseError`] otherwise),
-//! 2. `strata::analyze` must not prove the strategy statically futile,
-//! 3. [`dplane::Program::compile`] must produce an abstract-
-//!    interpretation proof (stack/emission bounds),
-//! 4. the censor-product model checker must not return
+//! 2. [`dplane::verify`] builds the arm's verification record from
+//!    its DSL text — the same record `cay verify` prints — and the
+//!    compiled program must carry an abstract-interpretation proof
+//!    (stack/emission bounds),
+//! 3. the lints must not prove the strategy statically futile,
+//! 4. the record's censor-product verdicts must not say
 //!    `ProvablyInert` against the censor governing the rule's prefix
 //!    (per the geo table) — shipping a provably do-nothing strategy to
 //!    the clients it was aimed at is a misconfiguration, not a rollout.
@@ -25,7 +27,7 @@
 //! post-reload flows hit without skewing hit/miss parity against an
 //! offline run.
 
-use dplane::{proof_facts, Program};
+use dplane::Program;
 use harness::deploy::{censor_id, GeoTable, RolloutTable};
 use std::sync::Arc;
 use strata::censor_model::Verdict;
@@ -80,45 +82,36 @@ pub fn vet_config(text: &str, geo: &GeoTable, protocol: appproto::AppProtocol) -
                 ai,
                 arm.percent
             );
-            let analysis = strata::analyze(&arm.strategy);
-            let compiled = Program::compile(&arm.strategy);
-            let facts = proof_facts(&compiled);
-            let mut verdicts = Vec::new();
-            match compiled {
-                Ok(program) => {
-                    verdicts.clone_from(&program.verdicts);
-                    programs.push(Arc::new(program));
-                }
+            // The table parser accepted this text, so it parses here.
+            let (entry, program) = match dplane::verify(&label, &arm.text) {
+                Ok(verified) => verified,
                 Err(e) => {
-                    if refusal.is_none() {
-                        refusal = Some(format!("{label}: absint refused: {e}"));
-                    }
+                    refusal.get_or_insert(format!("{label}: {e}"));
+                    continue;
+                }
+            };
+            match program {
+                Some(program) => programs.push(Arc::new(program)),
+                None => {
+                    let error = entry.program.as_ref().and_then(|p| p.error.as_deref());
+                    refusal.get_or_insert(format!(
+                        "{label}: absint refused: {}",
+                        error.unwrap_or("unknown")
+                    ));
                 }
             }
-            if analysis.statically_futile && refusal.is_none() {
-                refusal = Some(format!("{label}: strategy is statically futile"));
+            if entry.statically_futile {
+                refusal.get_or_insert(format!("{label}: strategy is statically futile"));
             }
             if let Some(id) = governing {
-                let inert = verdicts
-                    .iter()
-                    .any(|&(v_id, v)| v_id == id && v == Verdict::ProvablyInert);
-                if inert && refusal.is_none() {
-                    refusal = Some(format!(
+                if entry.verdicts.contains(&(id, Verdict::ProvablyInert)) {
+                    refusal.get_or_insert(format!(
                         "{label}: provably inert against {} (the censor governing this prefix)",
                         id.name()
                     ));
                 }
             }
-            entries.push(strata::ReportEntry {
-                label,
-                source: arm.text.clone(),
-                canonical: analysis.canonical.to_string(),
-                key: analysis.key,
-                statically_futile: analysis.statically_futile,
-                diagnostics: analysis.diagnostics,
-                verdicts,
-                program: Some(facts),
-            });
+            entries.push(entry);
         }
     }
     match refusal {

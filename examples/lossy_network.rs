@@ -1,11 +1,11 @@
-//! Robustness extension: strategies on lossy paths, plus the §2.1
-//! DNS-over-UDP race.
+//! Robustness extension: strategies on lossy paths. (The §2.1
+//! DNS-over-UDP race is `cay dnsrace`.)
 //!
 //! ```sh
 //! cargo run --release --example lossy_network -- [trials]
 //! ```
 
-use harness::experiments::{dns_race, robustness};
+use harness::experiments::robustness;
 
 fn main() {
     let trials: u32 = std::env::args()
@@ -13,5 +13,4 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(60);
     println!("{}", robustness(trials, 0xB0B).render());
-    println!("{}", dns_race(5).render());
 }

@@ -10,8 +10,8 @@
 //! cay compat                     §7 OS and carrier matrices
 //! cay dnsrace                    §2.1 UDP-vs-TCP DNS background
 //! cay evolve [country] [proto]   §4.1 genetic algorithm + minimization
-//! cay lint <strategy-dsl>        static analysis: canonical form + diagnostics
-//! cay verify <dsl>|--library     lints + compiled-program proof obligations,
+//! cay verify <dsl>|--library     lints, canonical form and key, futility
+//!                                verdict + compiled-program proof obligations,
 //!                                as text, JSON, or SARIF (--format); add
 //!                                --censor <name|all> for per-censor verdicts
 //!                                from the censor-product model checker;
@@ -49,7 +49,7 @@
 
 use appproto::AppProtocol;
 use censor::Country;
-use dplane::{Dplane, DplaneConfig, PcapReplay, Program, SeedMode};
+use dplane::{Dplane, DplaneConfig, PcapReplay, SeedMode};
 use harness::experiments;
 use harness::trial::SERVER_ADDR;
 use harness::{run_trial, success_rate, Throughput, TrialConfig};
@@ -194,158 +194,7 @@ fn dispatch(args: &[String], trials: &dyn Fn(u32) -> u32) {
             });
             evolve_and_report(country, protocol);
         }
-        Some("lint") => {
-            let Some(text) = args.get(1) else {
-                eprintln!("usage: cay lint '<strategy-dsl>'");
-                std::process::exit(2);
-            };
-            match strata::lint(text) {
-                Ok(diagnostics) => {
-                    let strategy = geneva::parse_strategy(text).expect("lint parsed it");
-                    let analysis = strata::analyze(&strategy);
-                    if diagnostics.is_empty() {
-                        println!("clean: no findings");
-                    }
-                    for d in &diagnostics {
-                        println!("{}", d.render(text));
-                    }
-                    println!("canonical: {}", analysis.canonical);
-                    println!("canon key: {}", analysis.key);
-                    if analysis.statically_futile {
-                        println!(
-                            "verdict:   statically futile — cannot beat the identity strategy"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("strategy does not parse: {e}");
-                    if let Some(caret) = text.get(e.span.start..).map(|_| e.span.start) {
-                        eprintln!("  {text}");
-                        eprintln!("  {}^", " ".repeat(caret));
-                    }
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("verify") => {
-            let format = args
-                .iter()
-                .position(|a| a == "--format")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-                .unwrap_or("text");
-            if !matches!(format, "text" | "json" | "sarif") {
-                eprintln!("unknown --format {format:?}: expected text, json, or sarif");
-                std::process::exit(2);
-            }
-            if args.iter().any(|a| a == "--unsafe-scan") {
-                // Repo-level strata check, not a strategy one: verify
-                // that the `unsafe` keyword stays confined to the
-                // workspace's audited files. Replaces the old CI shell
-                // greps so the gate ships with the tool.
-                let report = match strata::scan_unsafe(
-                    std::path::Path::new("crates"),
-                    strata::UNSAFE_ALLOWLIST,
-                ) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!("unsafe-scan: cannot walk crates/ from the workspace root: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                match format {
-                    "json" => print!("{}", strata::report::render_unsafe_json(&report)),
-                    "sarif" => print!("{}", strata::report::render_unsafe_sarif(&report)),
-                    _ => print!("{}", strata::report::render_unsafe_text(&report)),
-                }
-                std::process::exit(i32::from(!report.clean()));
-            }
-            let censors: Vec<strata::CensorId> = match args
-                .iter()
-                .position(|a| a == "--censor")
-                .map(|i| args.get(i + 1).map(String::as_str).unwrap_or(""))
-            {
-                None => Vec::new(),
-                Some("all") => strata::CensorId::all().to_vec(),
-                Some(name) => match strata::CensorId::parse(name) {
-                    Some(id) => vec![id],
-                    None => {
-                        eprintln!(
-                            "unknown --censor {name:?}: expected all, gfw, airtel, iran, \
-                             or kazakhstan"
-                        );
-                        std::process::exit(2);
-                    }
-                },
-            };
-            let mut entries = Vec::new();
-            if args.iter().any(|a| a == "--library") {
-                for named in geneva::library::server_side()
-                    .iter()
-                    .chain(geneva::library::variants().iter())
-                {
-                    let label = format!("library/{}", named.name);
-                    match verify_entry(&label, named.text, &censors) {
-                        Ok(entry) => entries.push(entry),
-                        Err(e) => {
-                            eprintln!("{label} does not parse: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-            } else {
-                // The strategy is the first positional operand: skip
-                // the flags and their values (`--censor all '<dsl>'`
-                // must still find the DSL).
-                let mut positional = None;
-                let mut i = 1;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--library" => i += 1,
-                        "--format" | "--censor" => i += 2,
-                        a if a.starts_with("--") => i += 1,
-                        _ => {
-                            positional = Some(&args[i]);
-                            break;
-                        }
-                    }
-                }
-                let Some(text) = positional else {
-                    eprintln!(
-                        "usage: cay verify '<strategy-dsl>' [--format text|json|sarif] \
-                         [--censor <name|all>]"
-                    );
-                    eprintln!(
-                        "       cay verify --library [--format text|json|sarif] \
-                         [--censor <name|all>]"
-                    );
-                    eprintln!("       cay verify --unsafe-scan [--format text|json|sarif]");
-                    std::process::exit(2);
-                };
-                match verify_entry("cli", text, &censors) {
-                    Ok(entry) => entries.push(entry),
-                    Err(e) => {
-                        eprintln!("strategy does not parse: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            match format {
-                "json" => print!("{}", strata::report::render_json(&entries)),
-                "sarif" => print!("{}", strata::report::render_sarif(&entries)),
-                _ => {
-                    print!("{}", strata::report::render_text(&entries));
-                    if !censors.is_empty() {
-                        println!();
-                        print!("{}", strata::render_verdict_matrix(&entries));
-                    }
-                }
-            }
-            if entries.iter().any(strata::ReportEntry::failing) {
-                std::process::exit(1);
-            }
-        }
+        Some("verify") => verify(args),
         Some("run") => {
             let Some(text) = args.get(1) else {
                 eprintln!("usage: cay run '<strategy-dsl>'");
@@ -393,7 +242,7 @@ fn dispatch(args: &[String], trials: &dyn Fn(u32) -> u32) {
         Some("bench") => bench::run(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cay [--jobs N] <strategies|table1|table2|waterfalls|multibox|followups|compat|dnsrace|evolve|lint|verify|run|pcap|dplane|serve|bench> [args]"
+                "usage: cay [--jobs N] <strategies|table1|table2|waterfalls|multibox|followups|compat|dnsrace|evolve|verify|run|pcap|dplane|serve|bench> [args]"
             );
             std::process::exit(2);
         }
@@ -528,36 +377,119 @@ fn usage(command: &str, operands: &str, msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Build one `cay verify` report entry: lint analysis, per-censor
-/// model-checker verdicts for the requested censors, plus the compiled
-/// program's discharged (or failed) proof obligations.
-fn verify_entry(
-    label: &str,
-    source: &str,
-    censors: &[strata::CensorId],
-) -> Result<strata::ReportEntry, geneva::ParseError> {
-    let strategy = geneva::parse_strategy(source)?;
-    let analysis = strata::analyze(&strategy);
-    let verdicts = if censors.is_empty() {
-        Vec::new()
-    } else {
-        let summary = strata::summarize(&strategy);
-        censors
-            .iter()
-            .map(|&id| (id, strata::censor_model::check(&summary, id)))
-            .collect()
+/// `cay verify`: one verification record per strategy (spanned lints,
+/// canonical form and key, per-censor verdicts, compiled-program proof
+/// facts) from `dplane::verify`, rendered as text, JSON or SARIF.
+/// Exits 1 when a record fails, 2 on a parse error (with a caret under
+/// the offending byte) or a bad option. `--unsafe-scan` checks keyword
+/// confinement instead.
+fn verify(args: &[String]) {
+    let operands = "'<strategy-dsl>'|--library|--unsafe-scan \
+                    [--format text|json|sarif] [--censor <name|all>]";
+    let mut format = "text";
+    let mut censor = None;
+    let (mut library, mut unsafe_scan) = (false, false);
+    let mut dsl: Option<&str> = None;
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .unwrap_or_else(|| usage("verify", operands, &format!("{arg} needs a value")))
+        };
+        match arg {
+            "--format" => format = value(),
+            "--censor" => censor = Some(value()),
+            "--library" => library = true,
+            "--unsafe-scan" => unsafe_scan = true,
+            s if s.starts_with("--") => usage("verify", operands, &format!("unknown option {s}")),
+            s if dsl.is_none() => dsl = Some(s),
+            s => usage("verify", operands, &format!("unexpected argument {s}")),
+        }
+    }
+    if let (Some(s), true) = (dsl, library || unsafe_scan) {
+        usage("verify", operands, &format!("unexpected argument {s}"));
+    }
+    if !matches!(format, "text" | "json" | "sarif") {
+        let msg = format!("unknown --format {format:?}: expected text, json, or sarif");
+        usage("verify", operands, &msg);
+    }
+    if unsafe_scan {
+        // Repo-level strata check, not a strategy one: verify that the
+        // `unsafe` keyword stays confined to the workspace's audited
+        // files. Replaces the old CI shell greps so the gate ships with
+        // the tool.
+        let report =
+            match strata::scan_unsafe(std::path::Path::new("crates"), strata::UNSAFE_ALLOWLIST) {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("unsafe-scan: cannot walk crates/ from the workspace root: {e}");
+                    std::process::exit(2);
+                }
+            };
+        match format {
+            "json" => print!("{}", strata::report::render_unsafe_json(&report)),
+            "sarif" => print!("{}", strata::report::render_unsafe_sarif(&report)),
+            _ => print!("{}", strata::report::render_unsafe_text(&report)),
+        }
+        std::process::exit(i32::from(!report.clean()));
+    }
+    let censors: Vec<strata::CensorId> = match censor {
+        None => Vec::new(),
+        Some("all") => strata::CensorId::all().to_vec(),
+        Some(name) => vec![strata::CensorId::parse(name).unwrap_or_else(|| {
+            let msg = format!(
+                "unknown --censor {name:?}: expected all, gfw, airtel, iran, or kazakhstan"
+            );
+            usage("verify", operands, &msg)
+        })],
     };
-    let program = dplane::proof_facts(&Program::compile(&strategy));
-    Ok(strata::ReportEntry {
-        label: label.to_string(),
-        source: source.to_string(),
-        canonical: analysis.canonical.to_string(),
-        key: analysis.key,
-        statically_futile: analysis.statically_futile,
-        diagnostics: analysis.diagnostics,
-        verdicts,
-        program: Some(program),
-    })
+    let sources: Vec<(String, &str)> = if library {
+        geneva::library::server_side()
+            .iter()
+            .chain(geneva::library::variants().iter())
+            .map(|named| (format!("library/{}", named.name), named.text))
+            .collect()
+    } else {
+        let Some(text) = dsl else {
+            usage(
+                "verify",
+                operands,
+                "missing a strategy, --library or --unsafe-scan",
+            )
+        };
+        vec![("cli".to_string(), text)]
+    };
+    let mut entries = Vec::new();
+    for (label, text) in sources {
+        match dplane::verify(&label, text) {
+            Ok((mut entry, _)) => {
+                entry.verdicts.retain(|(id, _)| censors.contains(id));
+                entries.push(entry);
+            }
+            Err(e) => {
+                eprintln!("strategy does not parse: {e}");
+                if text.is_char_boundary(e.span.start) {
+                    eprintln!("  {text}");
+                    eprintln!("  {}^", " ".repeat(e.span.start));
+                }
+                std::process::exit(2);
+            }
+        }
+    }
+    match format {
+        "json" => print!("{}", strata::report::render_json(&entries)),
+        "sarif" => print!("{}", strata::report::render_sarif(&entries)),
+        _ => {
+            print!("{}", strata::report::render_text(&entries));
+            if !censors.is_empty() {
+                println!();
+                print!("{}", strata::render_verdict_matrix(&entries));
+            }
+        }
+    }
+    if entries.iter().any(strata::ReportEntry::failing) {
+        std::process::exit(1);
+    }
 }
 
 /// `cay serve` — run the live service until an operator posts

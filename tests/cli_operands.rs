@@ -1,7 +1,7 @@
 #![allow(clippy::unwrap_used)] // test code
-//! Bad operands to `cay evolve`, `table2`, `multibox` and `followups`
-//! exit 2 with a usage message before any experiment runs, instead of
-//! silently falling back to a default.
+//! Bad operands to `cay evolve`, `table2`, `multibox`, `followups` and
+//! `verify` exit 2 with a usage message before any experiment runs,
+//! instead of silently falling back to a default.
 
 use std::process::Output;
 
@@ -40,4 +40,41 @@ fn trial_counts_must_be_positive_integers() {
     assert_usage_error(&["table2", "abc"], "abc is not a trial count");
     assert_usage_error(&["multibox", "0"], "0 is not a trial count");
     assert_usage_error(&["followups", "-5"], "-5 is not a trial count");
+}
+
+#[test]
+fn verify_rejects_unknown_options_and_missing_values() {
+    let dsl = "[TCP:flags:SA]-duplicate(,)-| \\/";
+    assert_usage_error(&["verify", "--verbose", dsl], "unknown option --verbose");
+    assert_usage_error(&["verify", dsl, "--format"], "--format needs a value");
+    assert_usage_error(
+        &["verify", "--formt", "json", dsl],
+        "unknown option --formt",
+    );
+    assert_usage_error(
+        &["verify", "--library", "--censor"],
+        "--censor needs a value",
+    );
+    assert_usage_error(&["verify", dsl, dsl], "unexpected argument");
+    assert_usage_error(&["verify", "--format", "yaml", dsl], "unknown --format");
+    assert_usage_error(&["verify", "--censor", "gfx", dsl], "unknown --censor");
+}
+
+#[test]
+fn lint_is_an_unknown_command() {
+    let out = cay(&["lint", "x"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: cay [--jobs N]"), "{stderr}");
+    assert!(!stderr.contains("lint"), "{stderr}");
+}
+
+#[test]
+fn verify_points_a_caret_at_a_parse_error() {
+    let out = cay(&["verify", "[TCP:flags:SA]-duplicate("]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("strategy does not parse"), "{stderr}");
+    assert!(stderr.lines().any(|l| l.trim() == "^"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }

@@ -18,19 +18,9 @@ fn library_entries() -> Vec<ReportEntry> {
         .iter()
         .chain(geneva::library::variants().iter())
         .map(|named| {
-            let strategy = named.strategy();
-            let analysis = strata::analyze(&strategy);
-            let program = dplane::proof_facts(&dplane::Program::compile(&strategy));
-            ReportEntry {
-                label: format!("library/{}", named.name),
-                source: named.text.to_string(),
-                canonical: analysis.canonical.to_string(),
-                key: analysis.key,
-                statically_futile: analysis.statically_futile,
-                diagnostics: analysis.diagnostics,
-                verdicts: check_all(&strata::summarize(&strategy)),
-                program: Some(program),
-            }
+            dplane::verify(&format!("library/{}", named.name), named.text)
+                .unwrap()
+                .0
         })
         .collect()
 }
