@@ -5,12 +5,14 @@
 //!   host default), asserting the estimates do not depend on the
 //!   worker count; speedups are `null` below 2 effective cores.
 //! * **dplane** — per-packet strategy application (interpreter vs
-//!   compiled program), then the assembled data plane in steady state.
+//!   compiled program), then the assembled data plane in steady state,
+//!   and the flow table's heap footprint per live flow.
 //!
 //! With the `count-allocs` feature the [`alloc`] module installs a
 //! counting global allocator and both files report allocations per
-//! trial or packet; otherwise those fields are `null`. `cay serve` is
-//! measured end to end by the ledger (`bash ledger/run.sh`), not here.
+//! trial or packet (and the per-flow footprint); otherwise those
+//! fields are `null`. `cay serve` is measured end to end by the ledger
+//! (`bash ledger/run.sh`), not here.
 //!
 //! [`dplane_workload`] and [`geo_classifier`] also drive `cay dplane`'s
 //! synthetic run.
@@ -20,10 +22,10 @@ pub mod alloc;
 
 use appproto::AppProtocol;
 use censor::Country;
-use dplane::{Dplane, DplaneConfig, PcapReplay, Program, SeedMode};
+use dplane::{Dplane, DplaneConfig, FlowConfig, FlowTable, PcapReplay, Program, SeedMode};
 use harness::trial::SERVER_ADDR;
 use harness::{Throughput, TrialConfig};
-use packet::{Packet, TcpFlags};
+use packet::{FlowKey, Packet, TcpFlags};
 use std::sync::Arc;
 use std::time::Instant;
 use strata::json::Json;
@@ -38,6 +40,18 @@ fn allocs_now() -> u64 {
     #[cfg(feature = "count-allocs")]
     {
         alloc::allocation_count()
+    }
+    #[cfg(not(feature = "count-allocs"))]
+    {
+        0
+    }
+}
+
+/// Live heap bytes (0 when counting is compiled out).
+fn live_bytes_now() -> u64 {
+    #[cfg(feature = "count-allocs")]
+    {
+        alloc::live_bytes()
     }
     #[cfg(not(feature = "count-allocs"))]
     {
@@ -296,13 +310,41 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
     (value, secs, allocs_now() - a0)
 }
 
+/// Heap bytes per live flow of a default-config [`FlowTable`] after
+/// 3 × capacity distinct flows of two packets each went through it (so
+/// it is full, has evicted and reused slots, and has served hits as
+/// well as creations), to one decimal; `None` (JSON `null`) when not
+/// counting.
+fn flow_bytes_per_flow() -> Option<String> {
+    if !COUNTING {
+        return None;
+    }
+    let cfg = FlowConfig::default();
+    let live0 = live_bytes_now();
+    let mut table = FlowTable::new(cfg);
+    for i in 0..3 * cfg.capacity {
+        let n = u32::try_from(i).expect("flow number fits in u32");
+        let key = FlowKey {
+            a: ((0x0A00_0000 + n).to_be_bytes(), 40_000),
+            b: (SERVER_ADDR, 80),
+        };
+        for _ in 0..2 {
+            table.touch(key, u64::from(n), || (None, 0));
+        }
+    }
+    let bytes = live_bytes_now().wrapping_sub(live0);
+    assert_eq!(table.len(), cfg.capacity, "the churn fills the table");
+    Some(format!("{:.1}", bytes as f64 / cfg.capacity as f64))
+}
+
 /// The compiled-data-plane bench behind `cay bench`
 /// (BENCH_dplane.json): per-packet strategy application with reused
 /// output buffers (interpreter vs. compiled program), then the
 /// assembled data plane in steady state, each reported as
 /// packets/second; `effective_cores` records the machine. With
 /// `--features count-allocs` every run also reports allocator entries
-/// per packet; otherwise those fields are `null`.
+/// per packet, and `flow_bytes_per_flow` the flow table's footprint;
+/// otherwise those fields are `null`.
 fn bench_dplane() -> String {
     let strategy = geneva::library::STRATEGY_1.strategy();
     let workload = dplane_workload(64, 8);
@@ -377,6 +419,7 @@ fn bench_dplane() -> String {
             .sum::<u64>()
     });
     let emitted: u64 = replays.iter().map(|r| r.emitted).sum();
+    let flow_bytes = flow_bytes_per_flow();
 
     let effective_cores = std::thread::available_parallelism().map_or(1, usize::from);
     Json::object(|j| {
@@ -393,6 +436,7 @@ fn bench_dplane() -> String {
                 format_args!("{:.2}", compiled_pps / interp_pps.max(1e-9)),
             )
             .num("effective_cores", effective_cores)
+            .num_or_null("flow_bytes_per_flow", flow_bytes.as_deref())
             .obj("plane", |j| {
                 j.num("packets", n)
                     .num("emitted", emitted)

@@ -7,12 +7,12 @@
 //! therefore the metrics are a pure function of the packets —
 //! proptested in `tests/flow_props.rs`. Three mechanisms make it hold:
 //!
-//! * **Global LRU** — every touch stamps the entry with a monotonic
-//!   tick. Capacity eviction removes the least-recent entry (ticks are
-//!   unique, so the victim is unambiguous). The victim is found in
-//!   amortized O(1): a lazy tick-ordered journal of touches whose front
-//!   (after skipping stale records) is the least-recent live flow — no
-//!   scan of the flow map, whose iteration order is never observable.
+//! * **Global LRU** — live flows occupy slots of one slab, linked into
+//!   an intrusive doubly-linked list in touch order: every touch moves
+//!   its slot to the tail, and capacity eviction removes the head, the
+//!   least-recent live flow. Touches are totally ordered, so the victim
+//!   is unambiguous and found in O(1), with no scan of the index map,
+//!   whose iteration order is never observable.
 //! * **Exact idle expiry** — a packet arriving after the timeout finds
 //!   its stale entry expired and re-classifies, regardless of when the
 //!   periodic sweep last ran. The sweep only reclaims memory for flows
@@ -22,21 +22,27 @@
 //!   derived from the key), so an evicted flow that returns rebuilds
 //!   the exact state it lost.
 //!
+//! A live flow costs one 48-byte slot plus one 16-byte index bucket
+//! (82 bytes a flow in a full default-size table, with the index's
+//! spare buckets). Freed slots are reused before the slab grows, so
+//! steady traffic never enters the allocator.
+//!
 //! One table serves one thread: the [`crate::Dplane`] that owns it.
 
 use crate::metrics::ShardMetrics;
 use crate::program::Program;
 use packet::FlowKey;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// FNV-1a for the flow map. The default SipHash costs more than the
-/// rest of the steady-state lookup combined, and its random keying buys
-/// nothing here: map iteration order is never observable (eviction
-/// picks victims by tick, not by map order).
+/// FNV-1a: the flow index's hasher and the input to per-flow seeds.
+/// The default SipHash costs more than the rest of the steady-state
+/// lookup combined. Being unkeyed, it lets a peer that picks its
+/// addresses and ports craft colliding flow keys; measuring such a
+/// flood is an open item in ROADMAP.md.
 #[derive(Clone)]
-struct FnvHasher(u64);
+pub(crate) struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> FnvHasher {
@@ -57,7 +63,12 @@ impl Hasher for FnvHasher {
     }
 }
 
+/// `HashMap` builder for [`FnvHasher`].
 type FnvBuild = BuildHasherDefault<FnvHasher>;
+
+/// [`FlowConfig::default`]'s capacity: the live flows one data thread
+/// keeps.
+pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Sizing and expiry knobs for a [`FlowTable`].
 #[derive(Debug, Clone, Copy)]
@@ -72,20 +83,28 @@ pub struct FlowConfig {
 impl Default for FlowConfig {
     fn default() -> FlowConfig {
         FlowConfig {
-            capacity: 65_536,
+            capacity: DEFAULT_CAPACITY,
             idle_timeout: 120_000_000, // 120 s
         }
     }
 }
 
-/// Per-flow state: the compiled program (or `None` = pass-through) and
-/// the corrupt seed, plus bookkeeping for LRU and idle expiry.
-#[derive(Debug, Clone)]
-struct FlowEntry {
+/// The end of a list: no slot.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot. Live, it holds a flow's state — the compiled program
+/// (or `None` = pass-through) and the corrupt seed — and its LRU links;
+/// free, `next` chains the free list and `program` is dropped.
+struct Slot {
+    key: FlowKey,
     program: Option<Arc<Program>>,
     seed: u64,
     last_seen: u64,
-    last_tick: u64,
+    /// Next-older live slot (toward the head), or [`NIL`].
+    prev: u32,
+    /// Next-newer live slot (toward the tail), or [`NIL`]; on a free
+    /// slot, the next free slot.
+    next: u32,
 }
 
 /// What a lookup returned: the flow's strategy state.
@@ -105,44 +124,49 @@ pub struct Touch {
 
 /// The flow table. See the module docs for the determinism contract.
 pub struct FlowTable {
-    flows: HashMap<FlowKey, FlowEntry, FnvBuild>,
+    /// Live flows: key → slot in `slots`.
+    index: HashMap<FlowKey, u32, FnvBuild>,
+    /// The slab; grows to at most `capacity` slots.
+    slots: Vec<Slot>,
+    /// Free-list head (chained through [`Slot::next`]), or [`NIL`].
+    free: u32,
+    /// Least-recently-touched live slot, or [`NIL`].
+    head: u32,
+    /// Most-recently-touched live slot, or [`NIL`].
+    tail: u32,
     metrics: ShardMetrics,
-    /// Lazy LRU journal: one `(tick, key)` record per touch, in tick
-    /// order. A record is *current* iff the flow is live and its
-    /// `last_tick` still equals the recorded tick; anything else is a
-    /// stale leftover from an earlier touch, discarded when eviction
-    /// reaches it. The front current record is the least-recently-used
-    /// live flow.
-    lru_log: VecDeque<(u64, FlowKey)>,
     cfg: FlowConfig,
-    tick: u64,
     next_sweep: u64,
 }
 
 impl FlowTable {
-    /// Build an empty table. Capacity is clamped to at least 1.
+    /// Build an empty table. Capacity is clamped to at least 1 (and to
+    /// the `u32` slot index space). Nothing is allocated until the
+    /// first flow arrives.
     pub fn new(cfg: FlowConfig) -> FlowTable {
         FlowTable {
-            flows: HashMap::default(),
+            index: HashMap::default(),
+            slots: Vec::new(),
+            free: NIL,
+            head: NIL,
+            tail: NIL,
             metrics: ShardMetrics::default(),
-            lru_log: VecDeque::new(),
             cfg: FlowConfig {
-                capacity: cfg.capacity.max(1),
+                capacity: cfg.capacity.clamp(1, NIL as usize),
                 idle_timeout: cfg.idle_timeout,
             },
-            tick: 0,
             next_sweep: 0,
         }
     }
 
     /// Live flow count.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
 
     /// True when no flows are live.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.index.is_empty()
     }
 
     /// Look up (creating if needed) the flow for `key` at time `now`.
@@ -154,37 +178,35 @@ impl FlowTable {
         F: FnOnce() -> (Option<Arc<Program>>, u64),
     {
         self.maybe_sweep(now);
-        self.tick += 1;
-        let tick = self.tick;
 
-        // Steady-state fast path: a live, fresh entry costs exactly one
-        // map lookup. A stale entry expires here (exact idle expiry for
-        // this key, independent of sweep timing) and falls through to
-        // the creation path.
-        let timeout = self.cfg.idle_timeout;
-        match self.flows.get_mut(&key) {
-            Some(entry) if now.saturating_sub(entry.last_seen) <= timeout => {
-                entry.last_seen = now;
-                entry.last_tick = tick;
+        // Steady-state fast path: a live, fresh entry costs one index
+        // lookup and a relink. A stale entry expires here (exact idle
+        // expiry for this key, independent of sweep timing) and falls
+        // through to the creation path.
+        if let Some(&i) = self.index.get(&key) {
+            let slot = &mut self.slots[i as usize];
+            if now.saturating_sub(slot.last_seen) <= self.cfg.idle_timeout {
+                slot.last_seen = now;
                 let touch = Touch {
-                    program: entry.program.clone(),
-                    seed: entry.seed,
+                    program: slot.program.clone(),
+                    seed: slot.seed,
                     shard: 0,
                     created: false,
                 };
+                if i != self.tail {
+                    self.unlink(i);
+                    self.link_tail(i);
+                }
                 self.metrics.packets += 1;
-                self.log_touch(tick, key);
                 return touch;
             }
-            Some(_) => {
-                self.flows.remove(&key);
-                self.metrics.evicted_idle += 1;
-            }
-            None => {}
+            self.remove(i);
+            self.metrics.evicted_idle += 1;
         }
 
-        if self.flows.len() >= self.cfg.capacity {
-            self.evict_lru();
+        if self.index.len() >= self.cfg.capacity {
+            self.remove(self.head);
+            self.metrics.evicted_lru += 1;
         }
         let (program, seed) = classify();
         let touch = Touch {
@@ -193,18 +215,30 @@ impl FlowTable {
             shard: 0,
             created: true,
         };
-        self.flows.insert(
+        let slot = Slot {
             key,
-            FlowEntry {
-                program,
-                seed,
-                last_seen: now,
-                last_tick: tick,
-            },
-        );
+            program,
+            seed,
+            last_seen: now,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = if self.free == NIL {
+            // No free slot means every slot is live, and fewer than
+            // `capacity` (≤ NIL) flows are, so the index fits.
+            let i = u32::try_from(self.slots.len()).expect("slab index below capacity");
+            self.slots.push(slot);
+            i
+        } else {
+            let i = self.free;
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = slot;
+            i
+        };
+        self.link_tail(i);
+        self.index.insert(key, i);
         self.metrics.flows_created += 1;
         self.metrics.packets += 1;
-        self.log_touch(tick, key);
         touch
     }
 
@@ -226,35 +260,48 @@ impl FlowTable {
         self.metrics.clone()
     }
 
-    /// Record a touch in the journal, compacting stale records once
-    /// the journal outgrows the live-flow count by 2× (amortized O(1)
-    /// per touch, zero steady-state allocation).
-    fn log_touch(&mut self, tick: u64, key: FlowKey) {
-        self.lru_log.push_back((tick, key));
-        if self.lru_log.len() > self.flows.len() * 2 + 8 {
-            let flows = &self.flows;
-            self.lru_log
-                .retain(|&(t, k)| flows.get(&k).is_some_and(|e| e.last_tick == t));
+    /// Detach live slot `i` from the LRU list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
         }
     }
 
-    /// Evict the least-recently-used flow: pop the journal front,
-    /// discarding stale records, until a current one names the victim.
-    /// Ticks are unique, so the eviction sequence does not depend on
-    /// hash-map iteration order.
-    fn evict_lru(&mut self) {
-        while let Some((tick, key)) = self.lru_log.pop_front() {
-            if self.flows.get(&key).is_some_and(|e| e.last_tick == tick) {
-                self.flows.remove(&key);
-                self.metrics.evicted_lru += 1;
-                return;
-            }
+    /// Append slot `i` to the LRU list as the most recent.
+    fn link_tail(&mut self, i: u32) {
+        let tail = self.tail;
+        let slot = &mut self.slots[i as usize];
+        slot.prev = tail;
+        slot.next = NIL;
+        match tail {
+            NIL => self.head = i,
+            t => self.slots[t as usize].next = i,
         }
+        self.tail = i;
+    }
+
+    /// Drop live slot `i`'s flow: unlink it, unindex it, release its
+    /// program and push the slot onto the free list.
+    fn remove(&mut self, i: u32) {
+        self.unlink(i);
+        let slot = &mut self.slots[i as usize];
+        self.index.remove(&slot.key);
+        slot.program = None;
+        slot.next = self.free;
+        self.free = i;
     }
 
     /// Periodic reclaim of flows that went idle and never returned.
-    /// Runs at most every `idle_timeout / 2` of simulated time; the set
-    /// of removed flows is a pure function of packet timestamps.
+    /// Runs at most every `idle_timeout / 2` of simulated time and
+    /// checks every live flow — timestamps need not be monotonic, so
+    /// list order says nothing about staleness. The set of removed
+    /// flows is a pure function of packet timestamps.
     fn maybe_sweep(&mut self, now: u64) {
         if now < self.next_sweep {
             return;
@@ -262,10 +309,17 @@ impl FlowTable {
         let interval = (self.cfg.idle_timeout / 2).max(1);
         self.next_sweep = now.saturating_add(interval);
         let timeout = self.cfg.idle_timeout;
-        let before = self.flows.len();
-        self.flows
-            .retain(|_, e| now.saturating_sub(e.last_seen) <= timeout);
-        self.metrics.evicted_idle += (before - self.flows.len()) as u64;
+        let mut i = self.head;
+        while i != NIL {
+            let Slot {
+                last_seen, next, ..
+            } = self.slots[i as usize];
+            if now.saturating_sub(last_seen) > timeout {
+                self.remove(i);
+                self.metrics.evicted_idle += 1;
+            }
+            i = next;
+        }
     }
 }
 
@@ -286,6 +340,23 @@ mod tests {
             capacity,
             idle_timeout: idle,
         })
+    }
+
+    /// The table's live flows, least recent first, read by walking the
+    /// LRU list (and checked against the index and the back links).
+    fn lru_order(t: &FlowTable) -> Vec<FlowKey> {
+        let mut order = Vec::new();
+        let (mut prev, mut i) = (NIL, t.head);
+        while i != NIL {
+            let slot = &t.slots[i as usize];
+            assert_eq!(slot.prev, prev, "back link of slot {i}");
+            assert_eq!(t.index.get(&slot.key), Some(&i), "index of slot {i}");
+            order.push(slot.key);
+            (prev, i) = (i, slot.next);
+        }
+        assert_eq!(t.tail, prev, "tail is the last slot");
+        assert_eq!(order.len(), t.len(), "every indexed flow is listed");
+        order
     }
 
     #[test]
@@ -325,52 +396,126 @@ mod tests {
         assert_eq!(t.len(), 1, "idle flows reclaimed");
     }
 
+    /// An independent flat reference for the table contract: live
+    /// flows as `(key, last touch order, last_seen)`, swept and evicted
+    /// by linear scans, with the table's sweep schedule.
+    #[derive(Default)]
+    struct Model {
+        live: Vec<(FlowKey, u64, u64)>,
+        order: u64,
+        next_sweep: u64,
+        created: u64,
+        evicted_lru: u64,
+        evicted_idle: u64,
+    }
+
+    impl Model {
+        fn touch(&mut self, k: FlowKey, now: u64, capacity: usize, timeout: u64) {
+            let stale = |seen: u64| now.saturating_sub(seen) > timeout;
+            if now >= self.next_sweep {
+                self.next_sweep = now.saturating_add((timeout / 2).max(1));
+                let before = self.live.len();
+                self.live.retain(|&(_, _, seen)| !stale(seen));
+                self.evicted_idle += (before - self.live.len()) as u64;
+            }
+            self.order += 1;
+            if let Some(pos) = self.live.iter().position(|(lk, ..)| *lk == k) {
+                if !stale(self.live[pos].2) {
+                    self.live[pos] = (k, self.order, now);
+                    return;
+                }
+                self.live.swap_remove(pos);
+                self.evicted_idle += 1;
+            }
+            if self.live.len() >= capacity {
+                let oldest = (0..self.live.len())
+                    .min_by_key(|&i| self.live[i].1)
+                    .unwrap();
+                self.live.swap_remove(oldest);
+                self.evicted_lru += 1;
+            }
+            self.live.push((k, self.order, now));
+            self.created += 1;
+        }
+
+        /// Live keys, least recent first.
+        fn lru_order(&self) -> Vec<FlowKey> {
+            let mut live = self.live.clone();
+            live.sort_by_key(|&(_, order, _)| order);
+            live.into_iter().map(|(k, ..)| k).collect()
+        }
+    }
+
+    /// Drive the table and the model through `workload` (flow number,
+    /// timestamp) and require identical counters and an identical LRU
+    /// order after every packet.
+    fn check_against_model(capacity: usize, timeout: u64, workload: &[(u8, u64)]) -> Model {
+        let mut t = table(capacity, timeout);
+        let mut model = Model::default();
+        for (step, &(n, now)) in workload.iter().enumerate() {
+            let k = key(n);
+            model.touch(k, now, capacity, timeout);
+            t.touch(k, now, || (None, u64::from(n)));
+            let m = t.metrics();
+            assert_eq!(
+                (m.flows_created, m.evicted_lru, m.evicted_idle),
+                (model.created, model.evicted_lru, model.evicted_idle),
+                "counters after step {step}"
+            );
+            assert_eq!(
+                lru_order(&t),
+                model.lru_order(),
+                "live set after step {step}"
+            );
+        }
+        model
+    }
+
     #[test]
     fn churn_evictions_match_global_lru_model() {
         // A churn workload (more distinct flows than capacity, with
-        // refreshes so victims aren't simply FIFO) checked against an
-        // independent flat global-LRU reference model: the table must
-        // evict exactly as often, and keep live exactly the flows the
-        // model keeps.
-        const CAPACITY: usize = 8;
+        // refreshes so victims aren't simply FIFO) checked against the
+        // flat global-LRU reference model: the table must evict exactly
+        // as often, and keep live exactly the flows the model keeps, in
+        // the same recency order.
         let workload: Vec<(u8, u64)> = (0..300u64)
             .map(|step| ((step * 7 % 41) as u8, step))
             .collect();
+        let model = check_against_model(8, u64::MAX, &workload);
+        assert!(model.evicted_lru > 0, "churn workload must actually evict");
+    }
 
-        let mut t = table(CAPACITY, u64::MAX);
-        // Reference: a flat global LRU over (key, tick).
-        let mut live: Vec<(FlowKey, u64)> = Vec::new();
-        let mut expect_evicted = 0u64;
-        let mut tick = 0u64;
-        for &(n, now) in &workload {
-            let k = key(n);
-            tick += 1;
-            if let Some(slot) = live.iter_mut().find(|(lk, _)| *lk == k) {
-                slot.1 = tick;
-            } else {
-                if live.len() >= CAPACITY {
-                    let oldest = live
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, lt))| *lt)
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    live.swap_remove(oldest);
-                    expect_evicted += 1;
-                }
-                live.push((k, tick));
-            }
-            t.touch(k, now, || (None, u64::from(n)));
-        }
+    #[test]
+    fn idle_gaps_and_sweeps_match_global_lru_model() {
+        // The same model with a 100 µs timeout: time advances by gaps
+        // on both sides of the timeout (and sometimes steps backward,
+        // as a `VecIo` run's timestamps may), so flows expire on touch,
+        // expire in sweeps, and get evicted for capacity, interleaved.
+        const TIMEOUT: u64 = 100;
+        let pauses = [49u64, 50, 51, 99, 100, 101, 150];
+        let mut now = 1_000u64;
+        let workload: Vec<(u8, u64)> = (0..3_000u64)
+            .map(|step| {
+                now = match step % 41 {
+                    40 => now + pauses[(step / 41 % 7) as usize],
+                    20 if step % 3 == 0 => now.saturating_sub(120),
+                    _ => now + step % 3,
+                };
+                (((step * step + step / 3) % 13) as u8, now)
+            })
+            .collect();
+        let model = check_against_model(8, TIMEOUT, &workload);
+        assert!(model.evicted_lru > 0, "workload must evict for capacity");
+        assert!(model.evicted_idle > 0, "workload must expire idle flows");
+    }
 
-        let evicted = t.metrics().evicted_lru;
-        assert_eq!(evicted, expect_evicted);
-        assert!(evicted > 0, "churn workload must actually evict");
-        // Touching a live flow creates nothing, so these probes cannot
-        // evict one another.
-        for (k, _) in live {
-            assert!(!t.touch(k, 300, || (None, 0)).created, "{k:?} evicted");
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut t = table(4, u64::MAX);
+        for n in 0..40 {
+            t.touch(key(n), u64::from(n), || (None, 0));
         }
+        assert_eq!(t.slots.len(), 4, "the slab never outgrows capacity");
     }
 
     #[test]

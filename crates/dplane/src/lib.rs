@@ -38,8 +38,10 @@ pub use program::{
     lower_ops, verify, CompiledPart, Matcher, Op, Program, ProgramCache, ProgramProof, VerifyError,
 };
 
+use flow::FnvHasher;
 use geneva::Strategy;
 use packet::{FlowKey, Packet};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Decides the strategy for a newly seen flow. Runs once per flow
@@ -253,20 +255,15 @@ impl<C: Classifier> geneva::Rewrite for Dplane<C> {
     }
 }
 
-/// FNV-1a of the canonical flow key: the input to per-flow seeds.
+/// [`FnvHasher`] over the canonical flow key's bytes: the input to
+/// per-flow seeds.
 pub(crate) fn key_hash(key: &FlowKey) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&key.a.0);
-    eat(&key.a.1.to_be_bytes());
-    eat(&key.b.0);
-    eat(&key.b.1.to_be_bytes());
-    hash
+    let mut h = FnvHasher::default();
+    h.write(&key.a.0);
+    h.write(&key.a.1.to_be_bytes());
+    h.write(&key.b.0);
+    h.write(&key.b.1.to_be_bytes());
+    h.finish()
 }
 
 /// Per-flow seed: splitmix64 over the base XOR [`key_hash`]. Pure in

@@ -117,10 +117,10 @@ impl<'a> Parser<'a> {
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        if self.bump() == Some(byte) {
+        if self.peek() == Some(byte) {
+            self.at += 1;
             Ok(())
         } else {
-            self.at = self.at.saturating_sub(1);
             Err(self.err(&format!("expected '{}'", byte as char)))
         }
     }

@@ -17,7 +17,11 @@
 //! protected origin server in a real deployment, the loopback echo
 //! harness in tests). Because the origin's own frames teach the bridge
 //! where the origin lives, a symmetric flow needs no static routes at
-//! all.
+//! all. The learned table is bounded: it keeps two generations of at
+//! most `ROUTE_CAP` addresses, so any address learned within the last
+//! `ROUTE_CAP` distinct learnings routes back to its peer, at most
+//! `2 × ROUTE_CAP` addresses are held whatever the peers send, and an
+//! address that has aged out goes upstream like any unknown one.
 //!
 //! ## The event loop
 //!
@@ -49,7 +53,7 @@ use crate::sys;
 use packet::Packet;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::os::unix::io::AsRawFd;
 use std::time::Instant;
 
@@ -69,6 +73,10 @@ const TCP_READ_BUDGET: usize = 4 * MAX_FRAME;
 /// slots are retired in place rather than removed; the cap keeps a
 /// connect-flood from growing the table without bound.
 pub const MAX_CONNS: usize = 1024;
+
+/// Addresses per generation of learned routes (see [`Routes`]): the
+/// flow table's default capacity.
+const ROUTE_CAP: usize = dplane::flow::DEFAULT_CAPACITY;
 
 /// Datagrams per `recvmmsg`/`sendmmsg` batch.
 pub const RECV_BATCH: usize = 64;
@@ -170,12 +178,44 @@ impl BridgeStats {
 }
 
 /// Which socket a learned inner address lives behind.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Peer {
-    /// A UDP peer at this socket address.
-    Udp(SocketAddr),
-    /// A TCP ingress connection, by index into `Bridge::conns`.
-    Tcp(usize),
+    /// A UDP peer at this socket address (the socket is IPv4-only).
+    Udp(SocketAddrV4),
+    /// A TCP ingress connection, by index into `Bridge::conns` (below
+    /// [`MAX_CONNS`]).
+    Tcp(u32),
+}
+
+/// Learned `inner source address → peer` routes in two generations of
+/// at most [`ROUTE_CAP`] addresses. Learning writes to `young`; a full
+/// `young` becomes `old` and the previous `old` is dropped (its
+/// allocation reused for the new `young`). Lookups try `young`, then
+/// `old`, so an address learned within the last `ROUTE_CAP` distinct
+/// learnings always resolves, and the table never holds more than
+/// `2 × ROUTE_CAP` addresses. The maps keep the default keyed hasher:
+/// a peer picks every key, so an unkeyed hash would let it craft
+/// colliding addresses.
+#[derive(Default)]
+struct Routes {
+    young: HashMap<[u8; 4], Peer>,
+    old: HashMap<[u8; 4], Peer>,
+}
+
+impl Routes {
+    /// Route `addr` to `peer` from now on.
+    fn learn(&mut self, addr: [u8; 4], peer: Peer) {
+        if self.young.len() >= ROUTE_CAP && !self.young.contains_key(&addr) {
+            std::mem::swap(&mut self.young, &mut self.old);
+            self.young.clear();
+        }
+        self.young.insert(addr, peer);
+    }
+
+    /// The peer `addr` was last learned behind, if it is still held.
+    fn get(&self, addr: &[u8; 4]) -> Option<Peer> {
+        self.young.get(addr).or_else(|| self.old.get(addr)).copied()
+    }
 }
 
 /// One TCP ingress connection with its reassembly and write buffers.
@@ -211,7 +251,7 @@ pub struct Bridge {
     udp: UdpSocket,
     tcp: Option<TcpListener>,
     conns: Vec<Conn>,
-    peers: HashMap<[u8; 4], Peer>,
+    peers: Routes,
     upstream: SocketAddr,
     epoch: Instant,
     queue: VecDeque<(u64, Packet)>,
@@ -270,7 +310,7 @@ impl Bridge {
             udp,
             tcp,
             conns: Vec::new(),
-            peers: HashMap::new(),
+            peers: Routes::default(),
             upstream: cfg.upstream,
             epoch: Instant::now(),
             queue: VecDeque::new(),
@@ -389,7 +429,7 @@ impl Bridge {
             for (bytes, from) in self.arena.frames() {
                 match Packet::parse(bytes) {
                     Ok(pkt) => {
-                        self.peers.insert(pkt.ip.src, Peer::Udp(from));
+                        self.peers.learn(pkt.ip.src, Peer::Udp(from));
                         self.queue.push_back((now, pkt));
                         self.stats.frames_in += 1;
                         queued += 1;
@@ -479,6 +519,7 @@ impl Bridge {
     /// cursor, then drop the consumed bytes with one drain.
     fn extract_frames(&mut self, idx: usize) -> usize {
         let now = self.now_us();
+        let conn_id = u32::try_from(idx).expect("connection index below MAX_CONNS");
         let Bridge {
             conns,
             peers,
@@ -503,7 +544,7 @@ impl Bridge {
             };
             match Packet::parse(frame) {
                 Ok(pkt) => {
-                    peers.insert(pkt.ip.src, Peer::Tcp(idx));
+                    peers.learn(pkt.ip.src, Peer::Tcp(conn_id));
                     queue.push_back((now, pkt));
                     stats.frames_in += 1;
                     queued += 1;
@@ -520,10 +561,10 @@ impl Bridge {
     /// are counted `frames_out` when the kernel takes them; TCP frames
     /// when they enter a live connection's write buffer.
     fn route_frame(&mut self, dst: [u8; 4], bytes: Vec<u8>) {
-        match self.peers.get(&dst).copied() {
-            Some(Peer::Udp(addr)) => self.queue_udp(addr, bytes),
+        match self.peers.get(&dst) {
+            Some(Peer::Udp(addr)) => self.queue_udp(SocketAddr::V4(addr), bytes),
             Some(Peer::Tcp(idx)) => {
-                self.queue_tcp(idx, &bytes);
+                self.queue_tcp(idx as usize, &bytes);
                 self.recycle(bytes);
             }
             None => {
@@ -775,6 +816,49 @@ mod tests {
             backend: BackendChoice::Epoll,
         })
         .unwrap()
+    }
+
+    #[test]
+    fn learned_routes_are_bounded_and_keep_the_recent() {
+        let addr = |i: usize| (0x0A00_0000 + u32::try_from(i).unwrap()).to_be_bytes();
+        let peer = |i: usize| {
+            let port = u16::try_from(i % 65_535 + 1).unwrap();
+            Peer::Udp(SocketAddrV4::new([127, 0, 0, 1].into(), port))
+        };
+        // Every ROUTE_CAP-th learning re-learns the same address; the
+        // others are all distinct.
+        let sticky = [192, 0, 2, 1];
+        let mut routes = Routes::default();
+        for i in 0..3 * ROUTE_CAP {
+            if i % ROUTE_CAP == 0 {
+                if i > 0 {
+                    assert_eq!(routes.get(&sticky), Some(Peer::Tcp(7)), "at {i}");
+                }
+                routes.learn(sticky, Peer::Tcp(7));
+            } else {
+                routes.learn(addr(i), peer(i));
+            }
+            assert!(routes.young.len() + routes.old.len() <= 2 * ROUTE_CAP);
+        }
+        assert_eq!(routes.get(&sticky), Some(Peer::Tcp(7)));
+        // The latest ROUTE_CAP learnings all resolve to their peer.
+        for i in (2 * ROUTE_CAP + 1)..3 * ROUTE_CAP {
+            assert_eq!(routes.get(&addr(i)), Some(peer(i)), "recent {i}");
+        }
+        // Older than two generations: dropped, so it goes upstream.
+        assert_eq!(routes.get(&addr(1)), None);
+
+        // A route that moves from peer A to peer B takes effect, from
+        // the young generation and from the old one.
+        let moved = addr(3 * ROUTE_CAP - 1);
+        routes.learn(moved, Peer::Tcp(1));
+        assert_eq!(routes.get(&moved), Some(Peer::Tcp(1)));
+        for i in 0..ROUTE_CAP {
+            routes.learn(addr(4 * ROUTE_CAP + i), peer(i));
+        }
+        assert!(!routes.young.contains_key(&moved) && routes.old.contains_key(&moved));
+        routes.learn(moved, Peer::Tcp(2));
+        assert_eq!(routes.get(&moved), Some(Peer::Tcp(2)));
     }
 
     #[test]

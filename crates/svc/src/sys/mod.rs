@@ -23,7 +23,7 @@
 pub mod ffi;
 
 use std::io;
-use std::net::{SocketAddr, SocketAddrV4};
+use std::net::SocketAddrV4;
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -256,12 +256,12 @@ impl RecvArena {
 
     /// The datagrams the last [`recv_batch`] filled, with their source
     /// addresses.
-    pub fn frames(&self) -> impl Iterator<Item = (&[u8], SocketAddr)> {
+    pub fn frames(&self) -> impl Iterator<Item = (&[u8], SocketAddrV4)> {
         self.hdrs[..self.filled]
             .iter()
             .zip(&self.bufs)
             .zip(&self.addrs)
-            .map(|((hdr, buf), addr)| (&buf[..hdr.len as usize], SocketAddr::V4(addr.to_v4())))
+            .map(|((hdr, buf), addr)| (&buf[..hdr.len as usize], addr.to_v4()))
     }
 }
 

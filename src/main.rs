@@ -468,9 +468,9 @@ fn verify(args: &[String]) {
             }
             Err(e) => {
                 eprintln!("strategy does not parse: {e}");
-                if text.is_char_boundary(e.span.start) {
+                if let Some(before) = text.get(..e.span.start) {
                     eprintln!("  {text}");
-                    eprintln!("  {}^", " ".repeat(e.span.start));
+                    eprintln!("  {}^", " ".repeat(before.chars().count()));
                 }
                 std::process::exit(2);
             }

@@ -107,6 +107,6 @@ fn bench_files_keep_their_key_layout() {
         "{\"bench\":\"dplane\",\"strategy\":\"Sim. Open, Injected RST\",\"count_allocs\":false,\
          \"applications\":#,\"interp_pps\":#,\"interp_allocs_per_packet\":#,\"compiled_pps\":#,\
          \"compiled_allocs_per_packet\":#,\"compiled_speedup\":#,\"effective_cores\":#,\
-         \"plane\":{\"packets\":#,\"emitted\":#,\"pps\":#,\"allocs_per_packet\":#}}\n"
+         \"flow_bytes_per_flow\":#,\"plane\":{\"packets\":#,\"emitted\":#,\"pps\":#,\"allocs_per_packet\":#}}\n"
     );
 }

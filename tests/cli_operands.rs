@@ -71,10 +71,22 @@ fn lint_is_an_unknown_command() {
 
 #[test]
 fn verify_points_a_caret_at_a_parse_error() {
-    let out = cay(&["verify", "[TCP:flags:SA]-duplicate("]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("strategy does not parse"), "{stderr}");
-    assert!(stderr.lines().any(|l| l.trim() == "^"), "{stderr}");
-    assert!(out.stdout.is_empty());
+    // Both inputs end where `)` is expected: the caret sits one past
+    // the `(`, counted in characters, not bytes.
+    for dsl in ["[TCP:flags:SA]-duplicate(", "[TCP:load:éé]-duplicate("] {
+        let out = cay(&["verify", dsl]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("strategy does not parse"), "{stderr}");
+        assert!(
+            stderr.contains(&format!("at byte {}", dsl.len())),
+            "{stderr}"
+        );
+        let lines: Vec<&str> = stderr.lines().collect();
+        let caret = lines.iter().position(|l| l.trim() == "^").unwrap();
+        assert_eq!(lines[caret - 1], format!("  {dsl}"), "{stderr}");
+        let column = lines[caret].chars().count() - 1;
+        assert_eq!(column, 2 + dsl.chars().count(), "{stderr}");
+        assert!(out.stdout.is_empty());
+    }
 }
