@@ -143,9 +143,180 @@ impl Json {
     }
 }
 
+/// Nesting deeper than this is refused, so hostile input cannot
+/// exhaust the stack.
+const MAX_DEPTH: usize = 64;
+
+/// Every scalar leaf of the JSON document `doc`, in document order:
+/// its path (decoded object keys and array indices joined by `.`) and
+/// its raw text (a number, `true`, `false`, `null`, or a string
+/// literal with its quotes). `None` unless `doc` is exactly one
+/// well-formed JSON value, give or take surrounding whitespace.
+pub fn leaves(doc: &str) -> Option<Vec<(String, &str)>> {
+    let mut walk = Walk {
+        doc,
+        at: 0,
+        out: Vec::new(),
+    };
+    walk.value(&mut String::new(), 0)?;
+    walk.ws();
+    (walk.at == doc.len()).then_some(walk.out)
+}
+
+/// The cursor of [`leaves`].
+struct Walk<'a> {
+    doc: &'a str,
+    at: usize,
+    out: Vec<(String, &'a str)>,
+}
+
+impl Walk<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.doc.as_bytes().get(self.at).copied()
+    }
+
+    /// Step over `b` if it is next.
+    fn skip(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.at += usize::from(hit);
+        hit
+    }
+
+    /// Step over a run of bytes matching `f`; false if it is empty.
+    fn run(&mut self, f: impl Fn(u8) -> bool) -> bool {
+        let from = self.at;
+        while self.peek().is_some_and(&f) {
+            self.at += 1;
+        }
+        self.at > from
+    }
+
+    fn ws(&mut self) {
+        self.run(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+    }
+
+    fn value(&mut self, path: &mut String, depth: usize) -> Option<()> {
+        self.ws();
+        let (start, base) = (self.at, path.len());
+        match self.peek()? {
+            b'{' | b'[' if depth < MAX_DEPTH => return self.container(path, depth),
+            b'"' => self.string(path)?,
+            b't' | b'f' | b'n' => {
+                let word = ["true", "false", "null"]
+                    .into_iter()
+                    .find(|w| self.doc[start..].starts_with(w))?;
+                self.at += word.len();
+            }
+            _ => self.number()?,
+        }
+        path.truncate(base);
+        self.out.push((path.clone(), &self.doc[start..self.at]));
+        Some(())
+    }
+
+    /// An object or array: each member's key or index extends `path`
+    /// while its value is walked.
+    fn container(&mut self, path: &mut String, depth: usize) -> Option<()> {
+        let close = if self.peek() == Some(b'{') {
+            b'}'
+        } else {
+            b']'
+        };
+        self.at += 1;
+        self.ws();
+        let base = path.len();
+        let mut index = 0;
+        while !self.skip(close) {
+            if index > 0 && !self.skip(b',') {
+                return None;
+            }
+            if base > 0 {
+                path.push('.');
+            }
+            if close == b'}' {
+                self.ws();
+                self.string(path)?;
+                self.ws();
+                self.skip(b':').then_some(())?;
+            } else {
+                let _ = write!(path, "{index}");
+            }
+            self.value(path, depth + 1)?;
+            path.truncate(base);
+            self.ws();
+            index += 1;
+        }
+        Some(())
+    }
+
+    /// A string literal, decoded onto the end of `into`.
+    fn string(&mut self, into: &mut String) -> Option<()> {
+        self.skip(b'"').then_some(())?;
+        loop {
+            let from = self.at;
+            self.run(|b| !matches!(b, b'"' | b'\\' | 0..=0x1f));
+            into.push_str(&self.doc[from..self.at]);
+            if self.skip(b'"') {
+                return Some(());
+            }
+            self.at += 2;
+            into.push(match self.doc.as_bytes().get(self.at - 2..self.at)? {
+                [b'\\', b'u'] => self.unicode()?,
+                [b'\\', b'b'] => '\u{8}',
+                [b'\\', b'f'] => '\u{c}',
+                [b'\\', b'n'] => '\n',
+                [b'\\', b'r'] => '\r',
+                [b'\\', b't'] => '\t',
+                [b'\\', b @ (b'"' | b'\\' | b'/')] => char::from(*b),
+                _ => return None,
+            });
+        }
+    }
+
+    /// The hex digits after `\u`, joining a surrogate pair.
+    fn unicode(&mut self) -> Option<char> {
+        let high = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&high) {
+            return char::from_u32(high);
+        }
+        self.doc[self.at..].starts_with("\\u").then_some(())?;
+        self.at += 2;
+        let low = self
+            .hex4()?
+            .checked_sub(0xDC00)
+            .filter(|low| *low < 0x400)?;
+        char::from_u32(0x10000 + ((high - 0xD800) << 10) + low)
+    }
+
+    fn hex4(&mut self) -> Option<u32> {
+        let digits = self.doc.get(self.at..self.at + 4)?;
+        self.at += 4;
+        digits
+            .bytes()
+            .all(|b| b.is_ascii_hexdigit())
+            .then_some(())?;
+        u32::from_str_radix(digits, 16).ok()
+    }
+
+    /// `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`
+    fn number(&mut self) -> Option<()> {
+        let digits = |w: &mut Self| w.run(|b| b.is_ascii_digit());
+        self.skip(b'-');
+        let int = self.skip(b'0') || digits(self);
+        let frac = !self.skip(b'.') || digits(self);
+        let exp = !(self.skip(b'e') || self.skip(b'E')) || {
+            let _ = self.skip(b'+') || self.skip(b'-');
+            digits(self)
+        };
+        (int && frac && exp).then_some(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)] // test code
     use super::*;
+    use proptest::prelude::*;
 
     fn quoted(s: &str) -> String {
         Json::object(|j| {
@@ -208,5 +379,163 @@ mod tests {
                 .num("r", format_args!("{:.0}", 99.7));
         });
         assert_eq!(doc, r#"{"ms":1234.6,"pps":2.500,"r":100}"#);
+    }
+
+    fn owned<'a>(pairs: &[(&str, &'a str)]) -> Vec<(String, &'a str)> {
+        pairs.iter().map(|&(p, v)| (p.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn leaves_walk_writer_output_in_document_order() {
+        let doc = Json::object(|j| {
+            j.str("a\"b", "x\\y")
+                .num("n", 7)
+                .obj("empty", |_| {})
+                .arr("none", |_| {})
+                .arr("rows", |j| {
+                    j.item_obj(|j| {
+                        j.num("ok", true);
+                    })
+                    .item_obj(|j| {
+                        j.num("ok", false).str_or_null("s", None);
+                    })
+                    .item_str("é")
+                    .item_num(-3);
+                })
+                .str("\u{1}\\é", "\u{1}")
+                .num("pps", format_args!("{}.{:03}", 2500 / 1000, 2500 % 1000));
+        }) + "\n";
+        assert_eq!(
+            leaves(&doc).unwrap(),
+            owned(&[
+                ("a\"b", r#""x\\y""#),
+                ("n", "7"),
+                ("rows.0.ok", "true"),
+                ("rows.1.ok", "false"),
+                ("rows.1.s", "null"),
+                ("rows.2", "\"é\""),
+                ("rows.3", "-3"),
+                ("\u{1}\\é", r#""\u0001""#),
+                ("pps", "2.500"),
+            ])
+        );
+    }
+
+    #[test]
+    fn leaves_accept_any_well_formed_json() {
+        let doc =
+            " [ [1 , 2.5e+3] , [] , {\"k\\/\\ud83d\\ude00\" : -0.5E2} ,\"\\b\\f\\n\\r\\t\"]\r\n";
+        assert_eq!(
+            leaves(doc).unwrap(),
+            owned(&[
+                ("0.0", "1"),
+                ("0.1", "2.5e+3"),
+                ("2.k/😀", "-0.5E2"),
+                ("3", r#""\b\f\n\r\t""#),
+            ])
+        );
+        assert_eq!(leaves("0").unwrap(), owned(&[("", "0")]));
+        assert_eq!(leaves("\"x\"").unwrap(), owned(&[("", "\"x\"")]));
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert_eq!(leaves(&deep(MAX_DEPTH)).unwrap(), owned(&[]));
+        assert_eq!(leaves(&deep(MAX_DEPTH + 1)), None);
+    }
+
+    #[test]
+    fn leaves_refuse_malformed_documents() {
+        for doc in [
+            "",
+            " ",
+            "{",
+            "{}}",
+            "{}{}",
+            r#"{"a":}"#,
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{a:1}"#,
+            "[1 2]",
+            "[,]",
+            "01",
+            "1.",
+            "-",
+            ".5",
+            "1e",
+            "tru",
+            "nul",
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\u+123""#,
+            r#""\ud800""#,
+            r#""\ud800A""#,
+            r#""\ud800\xdc00""#,
+            r#""\udc00""#,
+            "\"\u{1}\"",
+            "\"open",
+        ] {
+            assert_eq!(leaves(doc), None, "{doc:?}");
+        }
+    }
+
+    /// Characters that exercise every escape the writer emits, plus
+    /// multi-byte UTF-8 and the path separator.
+    fn arb_text() -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop::sample::select(vec!['a', '.', '"', '\\', '\n', '\u{1}', 'é', '→', '😀']),
+            0..8,
+        )
+        .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        /// Keys come back decoded and values as the writer wrote them.
+        #[test]
+        fn leaves_round_trip_writer_output(
+            members in prop::collection::vec((arb_text(), any::<u64>()), 0..6),
+            items in prop::collection::vec(arb_text(), 0..4),
+        ) {
+            let doc = Json::object(|j| {
+                for (k, v) in &members {
+                    j.num(k, v);
+                }
+                j.arr("items", |j| {
+                    for s in &items {
+                        j.item_str(s);
+                    }
+                });
+            });
+            let got = leaves(&doc).unwrap();
+            let (got_members, got_items) = got.split_at(members.len());
+            for ((path, raw), (k, v)) in got_members.iter().zip(&members) {
+                prop_assert_eq!(path, k);
+                prop_assert_eq!(*raw, v.to_string());
+            }
+            prop_assert_eq!(got_items.len(), items.len());
+            for (i, ((path, raw), s)) in got_items.iter().zip(&items).enumerate() {
+                let quoted = quoted(s);
+                prop_assert_eq!(path, &format!("items.{i}"));
+                prop_assert_eq!(*raw, &quoted[5..quoted.len() - 1]);
+            }
+        }
+
+        /// Arbitrary bytes never panic the walker.
+        #[test]
+        fn leaves_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+            let _ = leaves(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Nor do strings over JSON's own alphabet, which reach far
+        /// deeper into the grammar than random bytes.
+        #[test]
+        fn leaves_never_panic_on_json_shaped_text(
+            cs in prop::collection::vec(
+                prop::sample::select(vec![
+                    '{', '}', '[', ']', '"', ':', ',', ' ', '\\', 'u', 'd', '8', '0', '1',
+                    '-', '.', 'e', '+', 't', 'r', 'n', 'l', 'f', 'a', 's', 'é',
+                ]),
+                0..48,
+            ),
+        ) {
+            let _ = leaves(&cs.into_iter().collect::<String>());
+        }
     }
 }

@@ -31,6 +31,20 @@ pub struct ProgramFacts {
     pub max_emit: usize,
 }
 
+impl ProgramFacts {
+    /// Why the program is a reflection amplifier, if it is: its proved
+    /// emission bound meets [`AMPLIFICATION_LIMIT`]. Such a program
+    /// fails `cay verify` and is refused at reload.
+    pub fn amplification(&self) -> Option<String> {
+        (self.max_emit >= AMPLIFICATION_LIMIT).then(|| {
+            let n = self.max_emit;
+            format!(
+                "proved emission bound {n} meets the amplification threshold {AMPLIFICATION_LIMIT}"
+            )
+        })
+    }
+}
+
 /// One strategy's verification record.
 #[derive(Debug, Clone)]
 pub struct ReportEntry {
@@ -88,14 +102,17 @@ impl ReportEntry {
 
     /// This entry should fail a `cay verify` run: a futility proof,
     /// any error-severity diagnostic, or a program that failed
-    /// verification.
+    /// verification or [amplifies](ProgramFacts::amplification).
     pub fn failing(&self) -> bool {
         self.statically_futile
             || self
                 .diagnostics
                 .iter()
                 .any(|d| d.severity == Severity::Error)
-            || self.program.as_ref().is_some_and(|p| !p.verified)
+            || self
+                .program
+                .as_ref()
+                .is_some_and(|p| !p.verified || p.amplification().is_some())
     }
 }
 
@@ -113,12 +130,8 @@ pub fn render_text(entries: &[ReportEntry]) -> String {
                     "   program:   verified (max stack {}, max emit {})\n",
                     p.max_stack, p.max_emit
                 ));
-                if p.max_emit >= AMPLIFICATION_LIMIT {
-                    out.push_str(&format!(
-                        "   warning[program-amplification]: proved emission bound {} \
-                         meets the amplification threshold {}\n",
-                        p.max_emit, AMPLIFICATION_LIMIT
-                    ));
+                if let Some(why) = p.amplification() {
+                    out.push_str(&format!("   error[program-amplification]: {why}\n"));
                 }
             }
             Some(p) => {
@@ -531,20 +544,13 @@ pub fn render_sarif(entries: &[ReportEntry]) -> String {
                     e,
                 ));
             }
-            Some(p) if p.max_emit >= AMPLIFICATION_LIMIT => {
-                rules.push("program-amplification");
-                results.push(SarifResult::whole(
-                    "program-amplification",
-                    "warning",
-                    format!(
-                        "proved worst-case emission bound {} meets the amplification \
-                         threshold {AMPLIFICATION_LIMIT}",
-                        p.max_emit
-                    ),
-                    e,
-                ));
+            Some(p) => {
+                if let Some(why) = p.amplification() {
+                    rules.push("program-amplification");
+                    results.push(SarifResult::whole("program-amplification", "error", why, e));
+                }
             }
-            _ => {}
+            None => {}
         }
     }
     rules.sort_unstable();

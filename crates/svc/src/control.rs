@@ -10,8 +10,12 @@
 //!    its DSL text — the same record `cay verify` prints — and the
 //!    compiled program must carry an abstract-interpretation proof
 //!    (stack/emission bounds),
-//! 3. the lints must not prove the strategy statically futile,
-//! 4. the record's censor-product verdicts must not say
+//! 3. the proved emission bound must stay under
+//!    [`strata::AMPLIFICATION_LIMIT`] packets per trigger packet — a
+//!    server answers SYNs from spoofable sources, so a program that
+//!    multiplies them is a reflection amplifier,
+//! 4. the lints must not prove the strategy statically futile,
+//! 5. the record's censor-product verdicts must not say
 //!    `ProvablyInert` against the censor governing the rule's prefix
 //!    (per the geo table) — shipping a provably do-nothing strategy to
 //!    the clients it was aimed at is a misconfiguration, not a rollout.
@@ -99,6 +103,9 @@ pub fn vet_config(text: &str, geo: &GeoTable, protocol: appproto::AppProtocol) -
                         error.unwrap_or("unknown")
                     ));
                 }
+            }
+            if let Some(why) = entry.program.as_ref().and_then(|p| p.amplification()) {
+                refusal.get_or_insert(format!("{label}: {why}"));
             }
             if entry.statically_futile {
                 refusal.get_or_insert(format!("{label}: strategy is statically futile"));

@@ -19,6 +19,8 @@
 //! how long one client can hold it.
 
 use crate::{control, sys, unpoisoned, SvcShared};
+use std::collections::HashSet;
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -197,7 +199,8 @@ fn handle(stream: &mut TcpStream, shared: &SvcShared) {
             }
         }
         ("GET", "/status") => {
-            let body = status_json(shared);
+            let report = unpoisoned(shared.snapshot.lock()).clone();
+            let body = status_json(shared, &report);
             respond(stream, 200, "application/json", &body);
         }
         ("GET", "/metrics") => {
@@ -247,8 +250,7 @@ fn handle(stream: &mut TcpStream, shared: &SvcShared) {
 /// Service-level counters: what's around the data plane (the plane's
 /// own counters live under `/metrics`). Additive, presence-based —
 /// same compatibility rule as [`dplane::MetricsReport::to_json`].
-fn status_json(shared: &SvcShared) -> String {
-    let snapshot = unpoisoned(shared.snapshot.lock()).clone();
+fn status_json(shared: &SvcShared, snapshot: &dplane::MetricsReport) -> String {
     let bridge = *unpoisoned(shared.bridge_stats.lock());
     let pps_milli = snapshot.ingest_pps_milli.unwrap_or(0);
     Json::object(|j| {
@@ -292,199 +294,88 @@ fn status_json(shared: &SvcShared) -> String {
     }) + "\n"
 }
 
-/// Prometheus text exposition (v0.0.4) of the same counters `/metrics`
-/// serves as JSON, plus the service-level ones.
+/// The leaves exported as gauges; every other numeric leaf is a counter.
+const GAUGES: &[&str] = &[
+    "draining",
+    "flows_live",
+    "ingest_pps",
+    "rollout_rules",
+    "uptime_ms",
+];
+
+/// Prometheus text exposition (v0.0.4), derived from the `/status` and
+/// `/metrics` documents of one snapshot, so a counter added to either
+/// is exported with no edit here. Each numeric or boolean (0/1) leaf,
+/// `/status` first, is a sample named `cay_` + its path joined by `_`,
+/// with `_total` unless it is one of the [`GAUGES`]; `totals.` adds no
+/// segment. Strings, `shards.*` (a copy of `totals`) and names already
+/// taken are skipped. `applies.<key>` is the
+/// `cay_applies_total{program="<key>"}` family and
+/// `bridge.frames_per_batch` a cumulative histogram over
+/// [`crate::bridge::FPB_BUCKET_EDGES`]. `# HELP` names the document and
+/// the path.
 pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String {
-    let totals = &report.table;
-    let mut out = String::with_capacity(1024);
-    let counter = |out: &mut String, name: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    };
-    counter(
-        &mut out,
-        "cay_packets_total",
-        "Packets processed by the data plane.",
-        totals.packets,
-    );
-    counter(
-        &mut out,
-        "cay_flows_created_total",
-        "Flow-table entries created.",
-        totals.flows_created,
-    );
-    counter(
-        &mut out,
-        "cay_pass_through_total",
-        "Packets forwarded without a strategy.",
-        totals.pass_through,
-    );
-    counter(
-        &mut out,
-        "cay_evicted_lru_total",
-        "Flows evicted by the capacity LRU.",
-        totals.evicted_lru,
-    );
-    counter(
-        &mut out,
-        "cay_evicted_idle_total",
-        "Flows evicted by the idle timeout.",
-        totals.evicted_idle,
-    );
-    counter(
-        &mut out,
-        "cay_program_cache_hits_total",
-        "New flows that reused a compiled program.",
-        report.cache_hits,
-    );
-    counter(
-        &mut out,
-        "cay_program_cache_misses_total",
-        "New flows that compiled a program.",
-        report.cache_misses,
-    );
-    counter(
-        &mut out,
-        "cay_verify_rejects_total",
-        "Strategies refused by the proof gate.",
-        report.verify_rejects,
-    );
-    counter(
-        &mut out,
-        "cay_reloads_total",
-        "Accepted config reloads.",
-        shared.reloads.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "cay_reload_rejects_total",
-        "Refused config reloads.",
-        shared.reload_rejects.load(Ordering::Relaxed),
-    );
-    let bridge = *unpoisoned(shared.bridge_stats.lock());
-    counter(
-        &mut out,
-        "cay_bridge_syscalls_total",
-        "Syscalls made by the socket bridge.",
-        bridge.syscalls,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_gso_sends_total",
-        "Segmented (UDP_SEGMENT) egress messages the kernel took.",
-        bridge.gso_sends,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_gso_frames_total",
-        "Egress datagrams sent inside segmented messages.",
-        bridge.gso_frames,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_gso_fallbacks_total",
-        "Times the kernel refused segmentation and egress fell back to one message per datagram.",
-        bridge.gso_fallbacks,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_recv_batches_total",
-        "Ingress batches that delivered at least one frame.",
-        bridge.recv_batches,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_egress_backpressure_events_total",
-        "Egress attempts deferred by a full socket buffer.",
-        bridge.egress_backpressure_events,
-    );
-    out.push_str(
-        "# HELP cay_bridge_frames_per_batch Ingress frames-per-batch histogram.\n\
-         # TYPE cay_bridge_frames_per_batch histogram\n",
-    );
-    let mut cumulative = 0u64;
-    for (edge, n) in crate::bridge::FPB_BUCKET_EDGES
-        .iter()
-        .zip(bridge.frames_per_batch.iter())
-    {
-        cumulative += n;
-        out.push_str(&format!(
-            "cay_bridge_frames_per_batch_bucket{{le=\"{edge}\"}} {cumulative}\n"
-        ));
+    use crate::bridge::FPB_BUCKET_EDGES as EDGES;
+    let (status, metrics) = (status_json(shared, report), report.to_json());
+    let mut out = String::with_capacity(4096);
+    let mut taken = HashSet::new();
+    let mut cumulative = 0;
+    for (doc, text) in [("/status", &status), ("/metrics", &metrics)] {
+        // Both documents come from `Json`, so they always parse.
+        for (full, raw) in strata::json::leaves(text).unwrap_or_default() {
+            let value = match raw {
+                "false" => "0",
+                "true" => "1",
+                _ => raw,
+            };
+            let path = full.strip_prefix("totals.").unwrap_or(&full);
+            let numeric = value.starts_with(|c: char| c.is_ascii_digit() || c == '-');
+            if path.starts_with("shards.") || !numeric {
+                continue;
+            }
+            // A family's last path segment labels its samples.
+            let (name, kind, label) = match path.rsplit_once('.') {
+                Some(("applies", key)) => ("cay_applies_total".into(), "counter", Some(key)),
+                Some(("bridge.frames_per_batch", i)) => {
+                    ("cay_bridge_frames_per_batch".into(), "histogram", Some(i))
+                }
+                _ if GAUGES.contains(&path) => {
+                    (format!("cay_{}", path.replace('.', "_")), "gauge", None)
+                }
+                _ => (
+                    format!("cay_{}_total", path.replace('.', "_")),
+                    "counter",
+                    None,
+                ),
+            };
+            let new = taken.insert(name.clone());
+            if new {
+                let help = label.map_or(&full[..], |l| &full[..full.len() - l.len() - 1]);
+                let _ = writeln!(out, "# HELP {name} {doc} {help}\n# TYPE {name} {kind}");
+            }
+            match (kind, label) {
+                (_, None) if new => {
+                    let _ = writeln!(out, "{name} {value}");
+                }
+                ("counter", Some(key)) => {
+                    let _ = writeln!(out, "{name}{{program=\"{key}\"}} {value}");
+                }
+                ("histogram", Some(i)) => {
+                    let edge = i.parse().ok().and_then(|i: usize| EDGES.get(i));
+                    let (Some(edge), Ok(n)) = (edge, value.parse::<u64>()) else {
+                        continue;
+                    };
+                    cumulative += n;
+                    let _ = writeln!(out, "{name}_bucket{{le=\"{edge}\"}} {cumulative}");
+                    if Some(edge) == EDGES.last() {
+                        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+                        let _ = writeln!(out, "{name}_count {cumulative}");
+                    }
+                }
+                _ => {}
+            }
+        }
     }
-    out.push_str(&format!(
-        "cay_bridge_frames_per_batch_bucket{{le=\"+Inf\"}} {cumulative}\n\
-         cay_bridge_frames_per_batch_count {cumulative}\n"
-    ));
-    out.push_str(
-        "# HELP cay_bridge_backend The socket backend in use.\n\
-         # TYPE cay_bridge_backend gauge\n\
-         cay_bridge_backend{backend=\"epoll\"} 1\n",
-    );
-    out.push_str(&format!(
-        "# HELP cay_flows_live Live flow-table entries.\n# TYPE cay_flows_live gauge\ncay_flows_live {}\n",
-        report.flows_live
-    ));
-    if let Some(uptime) = report.uptime_ms {
-        out.push_str(&format!(
-            "# HELP cay_uptime_ms Milliseconds since service start.\n# TYPE cay_uptime_ms gauge\ncay_uptime_ms {uptime}\n"
-        ));
-    }
-    if let Some(milli) = report.ingest_pps_milli {
-        out.push_str(&format!(
-            "# HELP cay_ingest_pps Lifetime-average ingest rate.\n# TYPE cay_ingest_pps gauge\ncay_ingest_pps {}.{:03}\n",
-            milli / 1000,
-            milli % 1000
-        ));
-    }
-    out.push_str(
-        "# HELP cay_strategy_applies_total Strategy applications by compiled-program key.\n\
-         # TYPE cay_strategy_applies_total counter\n",
-    );
-    for (key, n) in &totals.applies {
-        out.push_str(&format!(
-            "cay_strategy_applies_total{{program=\"{key}\"}} {n}\n"
-        ));
-    }
-    counter(
-        &mut out,
-        "cay_bridge_frames_in_total",
-        "Frames decapsulated and queued for the data plane.",
-        bridge.frames_in,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_frames_out_total",
-        "Frames encapsulated and sent.",
-        bridge.frames_out,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_parse_errors_total",
-        "Datagrams and stream frames that did not parse as IPv4 packets.",
-        bridge.parse_errors,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_unroutable_total",
-        "Emissions dropped because no peer and no upstream would take them.",
-        bridge.unroutable,
-    );
-    counter(
-        &mut out,
-        "cay_bridge_tcp_accepted_total",
-        "TCP ingress connections accepted.",
-        bridge.tcp_accepted,
-    );
-    out.push_str(&format!(
-        "# HELP cay_draining 1 while the service drains for shutdown.\n# TYPE cay_draining gauge\ncay_draining {}\n",
-        u8::from(shared.draining.load(Ordering::Relaxed))
-    ));
-    out.push_str(&format!(
-        "# HELP cay_rollout_rules Rules in the live rollout table.\n# TYPE cay_rollout_rules gauge\ncay_rollout_rules {}\n",
-        shared.rollout_rules()
-    ));
     out
 }
 
@@ -533,11 +424,9 @@ mod tests {
         body
     }
 
-    /// `/status`, `/metrics` and `/metrics?format=prometheus` of a core
-    /// that has pumped a few flows render exactly the committed bytes
-    /// (clock-derived numbers masked).
-    #[test]
-    fn core_documents_match_the_golden() {
+    /// A core that has pumped a few flows: China, Kazakhstan, and a
+    /// client no geo entry covers.
+    fn pumped_core() -> crate::Core {
         use packet::{Packet, TcpFlags};
         let http = appproto::AppProtocol::Http;
         let server = [93, 184, 216, 34];
@@ -549,7 +438,6 @@ mod tests {
             rollout: harness::deploy::RolloutTable::from_geo(&geo, http),
             geo,
         });
-        // China, Kazakhstan, and a client no geo entry covers.
         let mut packets = Vec::new();
         for client in [[10, 7, 1, 2], [10, 77, 1, 2], [172, 16, 1, 2]] {
             for mut p in [
@@ -561,11 +449,23 @@ mod tests {
             }
         }
         core.pump(&mut dplane::VecIo::new(packets));
+        core
+    }
+
+    /// `/status`, `/metrics` and `/metrics?format=prometheus` of a core
+    /// that has pumped a few flows render exactly the committed bytes
+    /// (clock-derived numbers masked).
+    #[test]
+    fn core_documents_match_the_golden() {
+        let core = pumped_core();
         let shared = &core.shared;
         let report = unpoisoned(shared.snapshot.lock()).clone();
         let documents = format!(
             "{}{}\n{}",
-            mask(&status_json(shared), &["\"uptime_ms\":", "\"ingest_pps\":"]),
+            mask(
+                &status_json(shared, &report),
+                &["\"uptime_ms\":", "\"ingest_pps\":"]
+            ),
             mask(&report.to_json(), &["\"uptime_ms\":", "\"ingest_pps\":"]),
             mask(
                 &prometheus(shared, &report),
@@ -576,6 +476,80 @@ mod tests {
             documents,
             include_str!("../tests/golden/core_documents.txt")
         );
+    }
+
+    /// Every numeric leaf of `/status` and `/metrics` outside `shards`
+    /// has exactly one sample carrying its value, and nothing else is
+    /// sampled. The exposition is read line by line here, apart from
+    /// the renderer; a leaf both documents carry is one sample.
+    #[test]
+    fn every_numeric_leaf_has_exactly_one_sample() {
+        let core = pumped_core();
+        let shared = &core.shared;
+        shared.draining.store(true, Ordering::Relaxed);
+        {
+            // Distinct values, so a sample carrying the wrong leaf shows.
+            let mut bridge = unpoisoned(shared.bridge_stats.lock());
+            bridge.frames_in = 11;
+            bridge.frames_out = 12;
+            bridge.syscalls = 13;
+            bridge.gso_fallbacks = 1;
+            bridge.frames_per_batch = [5, 0, 3, 0, 0, 2, 1];
+        }
+        let report = unpoisoned(shared.snapshot.lock()).clone();
+        let exposition = prometheus(shared, &report);
+        let mut samples: Vec<(String, String)> = exposition
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| {
+                let (series, value) = line.rsplit_once(' ').unwrap();
+                (series.to_string(), value.to_string())
+            })
+            .collect();
+
+        let mut want: Vec<(String, String)> = Vec::new();
+        let mut cumulative = 0u64;
+        for doc in [status_json(shared, &report), report.to_json()] {
+            for (path, raw) in strata::json::leaves(&doc).unwrap() {
+                let path = path.strip_prefix("totals.").unwrap_or(&path);
+                if path.starts_with("shards.") || raw.starts_with('"') || raw == "null" {
+                    continue;
+                }
+                let mut value = match raw {
+                    "true" => "1".to_string(),
+                    "false" => "0".to_string(),
+                    v => v.to_string(),
+                };
+                let series = if let Some(key) = path.strip_prefix("applies.") {
+                    format!("cay_applies_total{{program=\"{key}\"}}")
+                } else if let Some(i) = path.strip_prefix("bridge.frames_per_batch.") {
+                    cumulative += value.parse::<u64>().unwrap();
+                    value = cumulative.to_string();
+                    let edge = crate::bridge::FPB_BUCKET_EDGES[i.parse::<usize>().unwrap()];
+                    format!("cay_bridge_frames_per_batch_bucket{{le=\"{edge}\"}}")
+                } else {
+                    let stem = format!("cay_{}", path.replace('.', "_"));
+                    let names = [stem.clone(), stem + "_total"];
+                    let hits: Vec<_> = samples.iter().filter(|(s, _)| names.contains(s)).collect();
+                    assert_eq!(hits.len(), 1, "{path}: {hits:?}\n{exposition}");
+                    hits[0].0.clone()
+                };
+                match want.iter().find(|(s, _)| *s == series) {
+                    Some((_, v)) => assert_eq!(*v, value, "{series} carries two values"),
+                    None => want.push((series, value)),
+                }
+            }
+        }
+        assert_eq!(cumulative, 11, "the histogram leaves were walked");
+        for series in [
+            "cay_bridge_frames_per_batch_bucket{le=\"+Inf\"}",
+            "cay_bridge_frames_per_batch_count",
+        ] {
+            want.push((series.to_string(), cumulative.to_string()));
+        }
+        samples.sort();
+        want.sort();
+        assert_eq!(samples, want, "{exposition}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #![allow(clippy::unwrap_used)] // test code
 //! Property tests for hot reload semantics (`POST /config`):
 //!
-//! 1. a **rejected** reload (absint refusal) is invisible — the live
+//! 1. a **rejected** reload (absint or amplification refusal) is
+//!    invisible — the live
 //!    rollout table, the program cache, the metrics JSON, and every
 //!    future emission are byte-identical to a service that never saw
 //!    the request;
@@ -53,9 +54,11 @@ fn emitted_bytes(io: &VecIo) -> Vec<Vec<u8>> {
     io.output.iter().map(|(_, p)| p.serialize_raw()).collect()
 }
 
-/// A strategy the abstract interpreter refuses: `depth` nested
-/// duplicates grow the packet stack past the verifier's 128-slot
-/// bound (refusal fires at depth ≥ 127).
+/// A chain of `depth` nested duplicates, emitting `depth + 2` packets
+/// per trigger. From depth 6 the program verifies but meets the
+/// amplification threshold (8); from depth 127 the packet stack grows
+/// past the verifier's 128-slot bound and the abstract interpreter
+/// refuses it.
 fn stack_bomb(depth: usize) -> String {
     let mut tree = "duplicate".to_string();
     for _ in 0..depth {
@@ -75,7 +78,9 @@ proptest! {
     #[test]
     fn rejected_reload_is_byte_invisible(
         clients in prop::collection::vec(2u8..250, 1..5),
-        depth in 127usize..140,
+        bomb_depth in 127usize..140,
+        amplifier_depth in 6usize..127,
+        amplifier in any::<bool>(),
         percent in 1u8..=100,
     ) {
         // Twin cores: `suspect` suffers the rejected reload between
@@ -96,12 +101,17 @@ proptest! {
         let before_json = suspect.offline_report().to_json();
         let table_before =
             std::sync::Arc::clone(&suspect.shared.rollout.read().unwrap());
+        let (depth, gate) = if amplifier {
+            (amplifier_depth, "meets the amplification threshold")
+        } else {
+            (bomb_depth, "absint refused")
+        };
         let config = format!("10.7.0.0/16 {percent} {}", stack_bomb(depth));
         let outcome = apply_config(&suspect.shared, &config);
         prop_assert!(!outcome.applied, "the stack bomb must be refused");
         prop_assert_eq!(outcome.status, 422);
         prop_assert!(outcome.body.contains("\"applied\":false"), "{}", outcome.body);
-        prop_assert!(outcome.body.contains("absint refused"), "{}", outcome.body);
+        prop_assert!(outcome.body.contains(gate), "{}", outcome.body);
 
         // Invisible: same table object, same metrics bytes, counter
         // bumped only on the svc side.
@@ -211,13 +221,45 @@ fn provably_inert_reload_is_refused_for_governed_prefix() {
     assert_eq!(core.shared.reload_rejects.load(Ordering::Relaxed), 1);
 }
 
+/// A balanced `duplicate` tree `depth` levels deep: 2^depth emissions
+/// per trigger packet, which the verifier proves.
+fn duplicate_tree(depth: u32) -> String {
+    match depth {
+        1 => "duplicate".to_string(),
+        _ => {
+            let half = duplicate_tree(depth - 1);
+            format!("duplicate({half},{half})")
+        }
+    }
+}
+
+/// The amplification gate sits exactly at the threshold: 7 emissions
+/// per trigger are admitted, 8 are refused.
+#[test]
+fn amplification_gate_refuses_at_the_threshold() {
+    let geo = harness::deploy::GeoTable::new(demo_geo_entries());
+    let http = appproto::AppProtocol::Http;
+    for (depth, status) in [(5, 200), (6, 422)] {
+        let config = format!("10.7.0.0/16 100 {}", stack_bomb(depth));
+        let outcome = svc::vet_config(&config, &geo, http);
+        assert_eq!(outcome.status, status, "depth {depth}: {}", outcome.body);
+    }
+}
+
 /// The `POST /config` verdict bodies are a public interface: an
-/// applied table, a futility refusal, a censor-inertness refusal and a
-/// parse error each render exactly the committed document.
+/// applied table, a futility refusal, a censor-inertness refusal, an
+/// amplification refusal and a parse error each render exactly the
+/// committed document.
 #[test]
 fn reload_verdict_bodies_match_the_committed_goldens() {
     let geo = harness::deploy::GeoTable::new(demo_geo_entries());
     let http = appproto::AppProtocol::Http;
+    // Inert against Airtel, Iran and Kazakhstan but not the GFW, so
+    // aimed at China only the amplification gate refuses it.
+    let amplifier = format!(
+        "10.7.0.0/16 100 [TCP:flags:SA]-{}-| \\/\n",
+        duplicate_tree(8)
+    );
     let cases = [
         (
             "applied",
@@ -239,6 +281,12 @@ fn reload_verdict_bodies_match_the_committed_goldens() {
             422,
             "10.91.0.0/16 100 [TCP:flags:SA]-duplicate(,)-| \\/\n",
             include_str!("golden/reload_inert.json"),
+        ),
+        (
+            "amplifier",
+            422,
+            &amplifier,
+            include_str!("golden/reload_amplifier.json"),
         ),
         (
             "parse error",

@@ -24,18 +24,14 @@ fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
 }
 
-/// Pull one unsigned integer field out of a flat JSON body.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
+/// The unsigned integer leaf at `path` of a JSON body.
+fn json_u64(body: &str, path: &str) -> u64 {
+    let leaves = strata::json::leaves(body).unwrap_or_else(|| panic!("not JSON: {body}"));
+    let (_, raw) = leaves
+        .iter()
+        .find(|(p, _)| p == path)
+        .unwrap_or_else(|| panic!("no {path} in {body}"));
+    raw.parse().unwrap()
 }
 
 fn core_cfg() -> CoreConfig {
@@ -396,7 +392,7 @@ fn tcp_backpressure_preserves_order_without_loss() {
     // Frames sent but not yet counted in by the bridge, at most: a few
     // 16 KiB datagrams fit the UDP receive buffer with room to spare.
     const IN_FLIGHT: u64 = 4;
-    let mut entered = json_u64(&get(service.control_addr, "/status").1, "frames_in");
+    let mut entered = json_u64(&get(service.control_addr, "/status").1, "bridge.frames_in");
     let mut expected: Vec<Vec<u8>> = Vec::with_capacity(FRAMES);
     for i in 0..FRAMES {
         let mut payload = vec![u8::try_from(i % 251).unwrap(); PAYLOAD];
@@ -423,7 +419,7 @@ fn tcp_backpressure_preserves_order_without_loss() {
         while sent - entered > IN_FLIGHT {
             assert!(Instant::now() < deadline, "ingress stalled at frame {i}");
             std::thread::sleep(Duration::from_micros(200));
-            entered = json_u64(&get(service.control_addr, "/status").1, "frames_in");
+            entered = json_u64(&get(service.control_addr, "/status").1, "bridge.frames_in");
         }
     }
 
@@ -440,15 +436,15 @@ fn tcp_backpressure_preserves_order_without_loss() {
     // The counters saw the backpressure and nothing was dropped.
     let deadline = Instant::now() + Duration::from_secs(3);
     let mut body = get(service.control_addr, "/status").1;
-    while json_u64(&body, "egress_backpressure_events") == 0 && Instant::now() < deadline {
+    while json_u64(&body, "bridge.egress_backpressure_events") == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
         body = get(service.control_addr, "/status").1;
     }
     assert!(
-        json_u64(&body, "egress_backpressure_events") > 0,
+        json_u64(&body, "bridge.egress_backpressure_events") > 0,
         "a full socket buffer must be observable: {body}"
     );
-    assert_eq!(json_u64(&body, "unroutable"), 0, "{body}");
+    assert_eq!(json_u64(&body, "bridge.unroutable"), 0, "{body}");
     assert!(body.contains("\"backend\":\"epoll\""), "{body}");
     service.shutdown();
     let report = service.join();

@@ -18,7 +18,10 @@
 //!                                --unsafe-scan checks keyword confinement
 //!                                to the workspace's audited files instead
 //! cay run <strategy-dsl>         evaluate an arbitrary DSL strategy vs GFW/HTTP
-//! cay pcap <file.pcap>           capture one Strategy-1 exchange to pcap
+//! cay pcap <file.pcap> [id]      capture one exchange of library strategy id
+//!                                (default 1) vs GFW/HTTP: the censor's
+//!                                vantage to <file.pcap>, the client's and
+//!                                the server's to <file.pcap>.client/.server
 //! cay dplane [file.pcap]         run the compiled data plane (one flow table),
 //!                                print metrics JSON
 //! cay serve [--udp A] [--tcp A] [--control A] [--upstream A]
@@ -212,31 +215,7 @@ fn dispatch(args: &[String], trials: &dyn Fn(u32) -> u32) {
                 }
             }
         }
-        Some("pcap") => {
-            let path = args.get(1).map(String::as_str).unwrap_or("strategy1.pcap");
-            // Capture a run where the strategy actually evades.
-            let result = (0..32)
-                .map(|seed| {
-                    run_trial(&TrialConfig::new(
-                        Country::China,
-                        AppProtocol::Http,
-                        geneva::library::STRATEGY_1.strategy(),
-                        seed,
-                    ))
-                })
-                .find(|r| r.evaded())
-                .expect("strategy 1 succeeds within 32 seeds");
-            let bytes = netsim::pcap::to_pcap(&result.trace, netsim::pcap::CaptureAt::Middlebox);
-            std::fs::write(path, &bytes).expect("write pcap");
-            println!(
-                "wrote {} bytes ({} packets at the censor's vantage) to {path}; outcome {:?}",
-                bytes.len(),
-                netsim::pcap::parse_pcap(&bytes)
-                    .map(|(_, r)| r.len())
-                    .unwrap_or(0),
-                result.outcome
-            );
-        }
+        Some("pcap") => pcap(args),
         Some("dplane") => run_dplane(args),
         Some("serve") => serve(args),
         Some("bench") => bench::run(&args[1..]),
@@ -322,6 +301,49 @@ fn evolve_and_report(country: Country, protocol: AppProtocol) {
             named.text.trim()
         );
     }
+}
+
+/// `cay pcap`: one exchange of a library strategy against the GFW over
+/// HTTP, from the first of 32 seeds that evades (else the last), as
+/// libpcap captures at the censor, the client and the server.
+fn pcap(args: &[String]) {
+    use netsim::pcap::{parse_pcap, to_pcap, CaptureAt};
+    let operands = "<file.pcap> [strategy-id 0-11]";
+    let path = args.get(1).map_or("strategy1.pcap", String::as_str);
+    let strategy = match args.get(2) {
+        None => geneva::library::STRATEGY_1.strategy(),
+        Some(id) => id
+            .parse()
+            .ok()
+            .and_then(geneva::library::by_id)
+            .unwrap_or_else(|| usage("pcap", operands, &format!("unknown strategy id {id}"))),
+    };
+    if let Some(extra) = args.get(3) {
+        usage("pcap", operands, &format!("unexpected argument {extra}"));
+    }
+    let mut seed = 0;
+    let result = loop {
+        let cfg = TrialConfig::new(Country::China, AppProtocol::Http, strategy.clone(), seed);
+        let result = run_trial(&cfg);
+        seed += 1;
+        if result.evaded() || seed == 32 {
+            break result;
+        }
+    };
+    for (at, file) in [
+        (CaptureAt::Middlebox, path.to_string()),
+        (CaptureAt::Client, format!("{path}.client")),
+        (CaptureAt::Server, format!("{path}.server")),
+    ] {
+        let bytes = to_pcap(&result.trace, at);
+        let packets = parse_pcap(&bytes).map_or(0, |(_, records)| records.len());
+        if let Err(e) = std::fs::write(&file, &bytes) {
+            eprintln!("pcap: {file}: {e}");
+            std::process::exit(1);
+        }
+        println!("{file}: {packets} packets ({} bytes)", bytes.len());
+    }
+    println!("outcome: {:?}", result.outcome);
 }
 
 /// `cay dplane` runs a synthetic multi-country workload; `cay dplane

@@ -2,7 +2,8 @@
 //! `cay dplane` rejects bad input with a message and exit status 2 —
 //! never a panic (exit 101) — the same way `cay serve` treats its bad
 //! inputs, and classifies a flow by its client the way `cay serve`
-//! does.
+//! does. `cay pcap`, which writes the captures it replays, is checked
+//! here too.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -62,6 +63,58 @@ fn removed_threads_flag_is_a_usage_error() {
     assert_usage_error(&cay_dplane("8"), "dplane: 8:");
 }
 
+/// Remove the censor's, client's and server's captures `cay pcap` wrote.
+fn remove_captures(path: &str) {
+    for file in [
+        path.to_string(),
+        format!("{path}.client"),
+        format!("{path}.server"),
+    ] {
+        std::fs::remove_file(file).unwrap();
+    }
+}
+
+/// `cay pcap <file> [id]` writes the censor's vantage to `<file>` and
+/// the client's and server's beside it; an id outside 0–11 or an extra
+/// argument is a usage error that writes nothing.
+#[test]
+fn pcap_writes_three_vantages_and_refuses_unknown_ids() {
+    let path = std::env::temp_dir().join(format!("cay-dplane-cli-{}-s2.pcap", std::process::id()));
+    let path = path.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_cay"))
+        .args(["pcap", path, "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "cay pcap failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    for file in [
+        path.to_string(),
+        format!("{path}.client"),
+        format!("{path}.server"),
+    ] {
+        let capture = std::fs::read(&file).unwrap();
+        assert_eq!(&capture[..4], &0xa1b2_c3d4u32.to_le_bytes(), "{file}");
+        assert!(stdout.contains(&format!("{file}: ")), "{stdout}");
+    }
+    assert!(stdout.contains("outcome: "), "{stdout}");
+    remove_captures(path);
+
+    for args in [&[path, "12"][..], &[path, "one"], &[path, "1", "extra"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cay"))
+            .arg("pcap")
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: cay pcap"), "{stderr}");
+        assert!(
+            !std::path::Path::new(path).exists(),
+            "{args:?} wrote {path}"
+        );
+    }
+}
+
 /// A flow whose first captured packet comes from the server (the
 /// client's SYN fell before the capture started) still classifies by
 /// its client: the `Classifier` contract says a flow re-classifies the
@@ -79,7 +132,7 @@ fn server_first_capture_still_gets_the_clients_strategy() {
         .unwrap();
     assert!(out.status.success(), "cay pcap failed: {out:?}");
     let capture = std::fs::read(path).unwrap();
-    std::fs::remove_file(path).unwrap();
+    remove_captures(path);
 
     // µs-pcap: a 24-byte global header, then records of a 16-byte
     // header (captured length at offset 8) plus the frame. Drop the
@@ -95,9 +148,17 @@ fn server_first_capture_still_gets_the_clients_strategy() {
 
     assert!(out.status.success(), "{out:?}");
     let json = String::from_utf8(out.stdout).unwrap();
-    let totals = &json[json.find("\"totals\"").unwrap()..];
-    assert!(totals.contains("\"pass_through\":0"), "{json}");
-    assert!(!totals.contains("\"applies\":{}"), "{json}");
+    let leaves = strata::json::leaves(&json).unwrap();
+    assert!(
+        leaves.contains(&("totals.pass_through".to_string(), "0")),
+        "{json}"
+    );
+    assert!(
+        leaves
+            .iter()
+            .any(|(path, _)| path.starts_with("totals.applies.")),
+        "{json}"
+    );
 }
 
 /// The synthetic workload's metrics document is pinned byte for byte:
