@@ -1,7 +1,7 @@
 //! The proof gate over real programs: every built-in strategy's
 //! compiled program discharges its proof obligations, the proved
-//! emission bound agrees with the tree-level bound the
-//! `dup-amplification` lint uses, and the static checksum-validity
+//! emission bound agrees with the tree-level bound
+//! `absint::max_emission` computes, and the static checksum-validity
 //! facts place `TamperHint::TrustedValid` exactly where the dynamic
 //! fast-path precondition holds.
 
@@ -33,10 +33,9 @@ fn every_library_program_verifies() {
 }
 
 /// Satellite cross-check: the abstract interpreter's per-part emission
-/// bound must equal the tree-level `absint::max_emission` the
-/// `dup-amplification` lint consumes — two independent derivations of
-/// the same worst case (one over compiled ops, one over the AST). A
-/// disagreement means one of them is unsound.
+/// bound must equal the tree-level `absint::max_emission` — two
+/// independent derivations of the same worst case (one over compiled
+/// ops, one over the AST). A disagreement means one of them is unsound.
 #[test]
 fn proved_emission_bound_matches_tree_bound() {
     for (name, strategy) in all_library() {

@@ -153,24 +153,39 @@ const MAX_DEPTH: usize = 64;
 /// literal with its quotes). `None` unless `doc` is exactly one
 /// well-formed JSON value, give or take surrounding whitespace.
 pub fn leaves(doc: &str) -> Option<Vec<(String, &str)>> {
-    let mut walk = Walk {
-        doc,
-        at: 0,
-        out: Vec::new(),
-    };
-    walk.value(&mut String::new(), 0)?;
-    walk.ws();
-    (walk.at == doc.len()).then_some(walk.out)
+    let mut out = Vec::new();
+    walk_leaves(doc, &mut String::new(), |path, raw| {
+        out.push((path.to_string(), raw));
+    })?;
+    Some(out)
 }
 
-/// The cursor of [`leaves`].
-struct Walk<'a> {
+/// [`leaves`] without collecting them: `visit` sees each leaf's path
+/// and raw text as it is walked. `path` is the caller's buffer,
+/// cleared first and reused for every path, so a walk allocates
+/// nothing once the buffer has grown to the longest key path. `None`
+/// when `doc` is not well-formed; the leaves before the fault have
+/// been visited by then.
+pub fn walk_leaves<'a>(
+    doc: &'a str,
+    path: &mut String,
+    visit: impl FnMut(&str, &'a str),
+) -> Option<()> {
+    path.clear();
+    let mut walk = Walk { doc, at: 0, visit };
+    walk.value(path, 0)?;
+    walk.ws();
+    (walk.at == doc.len()).then_some(())
+}
+
+/// The cursor of [`walk_leaves`].
+struct Walk<'a, F> {
     doc: &'a str,
     at: usize,
-    out: Vec<(String, &'a str)>,
+    visit: F,
 }
 
-impl Walk<'_> {
+impl<'a, F: FnMut(&str, &'a str)> Walk<'a, F> {
     fn peek(&self) -> Option<u8> {
         self.doc.as_bytes().get(self.at).copied()
     }
@@ -200,7 +215,7 @@ impl Walk<'_> {
         let (start, base) = (self.at, path.len());
         match self.peek()? {
             b'{' | b'[' if depth < MAX_DEPTH => return self.container(path, depth),
-            b'"' => self.string(path)?,
+            b'"' => self.string(None)?,
             b't' | b'f' | b'n' => {
                 let word = ["true", "false", "null"]
                     .into_iter()
@@ -210,7 +225,7 @@ impl Walk<'_> {
             _ => self.number()?,
         }
         path.truncate(base);
-        self.out.push((path.clone(), &self.doc[start..self.at]));
+        (self.visit)(path, &self.doc[start..self.at]);
         Some(())
     }
 
@@ -235,7 +250,7 @@ impl Walk<'_> {
             }
             if close == b'}' {
                 self.ws();
-                self.string(path)?;
+                self.string(Some(path))?;
                 self.ws();
                 self.skip(b':').then_some(())?;
             } else {
@@ -249,18 +264,21 @@ impl Walk<'_> {
         Some(())
     }
 
-    /// A string literal, decoded onto the end of `into`.
-    fn string(&mut self, into: &mut String) -> Option<()> {
+    /// A string literal, decoded onto the end of `into` when given
+    /// (an object key) and only checked otherwise (a leaf value).
+    fn string(&mut self, mut into: Option<&mut String>) -> Option<()> {
         self.skip(b'"').then_some(())?;
         loop {
             let from = self.at;
             self.run(|b| !matches!(b, b'"' | b'\\' | 0..=0x1f));
-            into.push_str(&self.doc[from..self.at]);
+            if let Some(into) = into.as_mut() {
+                into.push_str(&self.doc[from..self.at]);
+            }
             if self.skip(b'"') {
                 return Some(());
             }
             self.at += 2;
-            into.push(match self.doc.as_bytes().get(self.at - 2..self.at)? {
+            let c = match self.doc.as_bytes().get(self.at - 2..self.at)? {
                 [b'\\', b'u'] => self.unicode()?,
                 [b'\\', b'b'] => '\u{8}',
                 [b'\\', b'f'] => '\u{c}',
@@ -269,7 +287,10 @@ impl Walk<'_> {
                 [b'\\', b't'] => '\t',
                 [b'\\', b @ (b'"' | b'\\' | b'/')] => char::from(*b),
                 _ => return None,
-            });
+            };
+            if let Some(into) = into.as_mut() {
+                into.push(c);
+            }
         }
     }
 

@@ -44,6 +44,6 @@ pub use absint::{
 pub use canon::{canonicalize, canonicalize_strategy, CanonKey};
 pub use censor_model::{CensorId, Verdict};
 pub use diagnostics::{line_col, Diagnostic, Severity};
-pub use lints::{lint, lint_strategy, AMPLIFICATION_LIMIT};
-pub use report::{render_verdict_matrix, ProgramFacts, ReportEntry};
+pub use lints::{lint, lint_strategy};
+pub use report::{render_verdict_matrix, ProgramFacts, ReportEntry, AMPLIFICATION_LIMIT};
 pub use unsafe_scan::{scan_unsafe, UnsafeFinding, UnsafeScanReport, UNSAFE_ALLOWLIST};

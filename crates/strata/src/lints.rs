@@ -8,8 +8,8 @@
 //!   (`dead-branch`, `shadowed-trigger`,
 //!   `client-side-action-in-server-strategy`);
 //! * **node rules** look at one action node at a time
-//!   (`ttl-unreachable`, `degenerate-fragment`, `dup-amplification`,
-//!   `checksum-futile` on inbound);
+//!   (`ttl-unreachable`, `degenerate-fragment`, `checksum-futile` on
+//!   inbound);
 //! * **path rules** reason about the abstract packet each
 //!   root-to-`send` path emits, using the [`crate::absint`]
 //!   `FieldEffect` summaries (`checksum-futile`,
@@ -35,16 +35,9 @@ use geneva::{
 use packet::field::{FieldKind, FieldValue};
 use packet::{Proto, TcpFlags};
 
-use crate::absint::{action_effects, max_emission, FieldEffect, PathEffect};
+use crate::absint::{action_effects, FieldEffect, PathEffect};
 use crate::canon::{canonicalize, is_inert};
 use crate::diagnostics::{Diagnostic, Severity};
-
-/// Emission count at which `dup-amplification` starts complaining.
-/// `cay verify` flags the compiled program's proved bound
-/// (`OpsProof::max_emit`) against the same threshold, so the tree walk
-/// and the abstract interpreter can never disagree about what counts
-/// as amplified.
-pub const AMPLIFICATION_LIMIT: usize = 8;
 
 /// Router hops from the strategic server to the censoring middlebox
 /// on the simulated path (`netsim::PathConfig::DEFAULT`). A
@@ -117,7 +110,6 @@ fn lint_direction(
             let span = node_spans.get(j).copied().unwrap_or(part_span);
             lint_node(node, span, outbound, out);
         }
-        lint_dup_amplification(&part.action, part_span, out);
 
         // -- path rules ---------------------------------------------------
         if outbound {
@@ -360,26 +352,6 @@ fn lint_node(node: &Action, span: Span, outbound: bool, out: &mut Vec<Diagnostic
             ));
         }
         _ => {}
-    }
-}
-
-/// `dup-amplification`: worst-case emitted-packet count of the tree.
-/// Strategies that explode one trigger packet into many are slow to
-/// simulate and trivially fingerprintable on the wire.
-fn lint_dup_amplification(action: &Action, span: Span, out: &mut Vec<Diagnostic>) {
-    let n = max_emission(action);
-    if n >= AMPLIFICATION_LIMIT {
-        out.push(diag(
-            Severity::Warning,
-            "dup-amplification",
-            span,
-            format!(
-                "this tree can emit up to {n} packets per trigger packet \
-                 (amplification threshold {AMPLIFICATION_LIMIT})"
-            ),
-            Some("collapse duplicate/fragment chains".into()),
-            false,
-        ));
     }
 }
 
@@ -842,21 +814,6 @@ mod tests {
         // 10 hops: past the middlebox (8) but short of the client (12).
         let c = codes("[TCP:flags:SA]-duplicate(tamper{IP:ttl:replace:10},)-| \\/ ");
         assert!(!c.contains(&"ttl-unreachable"), "{c:?}");
-    }
-
-    #[test]
-    fn dup_amplification_fires_at_eight_leaves() {
-        let c = codes(
-            "[TCP:flags:SA]-duplicate(duplicate(duplicate(,),duplicate(,)),\
-             duplicate(duplicate(,),duplicate(,)))-| \\/ ",
-        );
-        assert!(c.contains(&"dup-amplification"), "{c:?}");
-    }
-
-    #[test]
-    fn dup_amplification_quiet_below_threshold() {
-        let c = codes("[TCP:flags:SA]-duplicate(duplicate(,),)-| \\/ ");
-        assert!(!c.contains(&"dup-amplification"), "{c:?}");
     }
 
     #[test]

@@ -11,9 +11,13 @@ use crate::canon::{canonicalize_strategy, CanonKey};
 use crate::censor_model::{check_all, CensorId, Verdict};
 use crate::diagnostics::{line_col, Diagnostic, Severity};
 use crate::json::Json;
-use crate::lints::{lint_spanned, AMPLIFICATION_LIMIT};
+use crate::lints::lint_spanned;
 use crate::unsafe_scan::UnsafeScanReport;
 use geneva::{parse_strategy_spanned, ParseError, Strategy};
+
+/// Proved emissions per trigger packet at which a compiled program is
+/// a reflection amplifier (see [`ProgramFacts::amplification`]).
+pub const AMPLIFICATION_LIMIT: usize = 8;
 
 /// What the abstract interpreter proved (or failed to prove) about a
 /// strategy's compiled program. Kept as plain data so `strata` never
@@ -429,10 +433,6 @@ fn rule_help(id: &str) -> (&'static str, &'static str) {
             "Every emitted copy carries a broken checksum, so no endpoint stack accepts any of them.",
             LINTS_URI,
         ),
-        "dup-amplification" => (
-            "Worst-case emission count per trigger packet meets the amplification threshold.",
-            LINTS_URI,
-        ),
         "no-op-chain" => (
             "The whole action tree canonicalizes to a bare send — it does exactly nothing.",
             LINTS_URI,
@@ -702,7 +702,6 @@ mod tests {
             "ttl-unreachable",
             "degenerate-fragment",
             "checksum-futile",
-            "dup-amplification",
             "no-op-chain",
             "handshake-severed",
             "seq-desync-kills-client",

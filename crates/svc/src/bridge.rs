@@ -255,7 +255,7 @@ pub struct Bridge {
     upstream: SocketAddr,
     epoch: Instant,
     queue: VecDeque<(u64, Packet)>,
-    /// Read buffer for TCP ingress.
+    /// Read buffer for TCP ingress; empty without a TCP listener.
     buf: Vec<u8>,
     /// Queued UDP egress: destination + serialized frame.
     udp_out: VecDeque<(SocketAddr, Vec<u8>)>,
@@ -264,7 +264,8 @@ pub struct Bridge {
     ctr: sys::SyscallCounter,
     waker: sys::Waker,
     ep: sys::Epoll,
-    /// `recvmmsg` buffers, allocated once at bind.
+    /// `recvmmsg` buffers, reserved at bind and resident where
+    /// datagrams land.
     arena: sys::RecvArena,
     /// `sendmmsg` vectors, reused every batch.
     scratch: sys::SendScratch,
@@ -306,6 +307,11 @@ impl Bridge {
         if let Some(listener) = &tcp {
             ep.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EV_READ)?;
         }
+        // Only a TCP listener's connections are ever read into `buf`.
+        let buf = match tcp {
+            Some(_) => vec![0u8; MAX_FRAME],
+            None => Vec::new(),
+        };
         Ok(Bridge {
             udp,
             tcp,
@@ -314,7 +320,7 @@ impl Bridge {
             upstream: cfg.upstream,
             epoch: Instant::now(),
             queue: VecDeque::new(),
-            buf: vec![0u8; MAX_FRAME],
+            buf,
             udp_out: VecDeque::new(),
             spare: Vec::new(),
             ctr,
@@ -371,9 +377,10 @@ impl Bridge {
         self.wait(0)
     }
 
-    /// Idle wait: block until traffic, a waker kick, or `timeout_ms`.
-    /// Anything that arrived is already dispatched into the queues when
-    /// this returns. Returns frames queued.
+    /// Block until traffic, a waker kick, or `timeout_ms`, then push
+    /// any queued egress. Returns at once when a socket is already
+    /// ready, and anything that arrived is dispatched into the queues
+    /// when this returns. Returns frames queued.
     pub fn wait(&mut self, timeout_ms: i32) -> usize {
         let queued = self.dispatch(timeout_ms);
         self.flush_egress();

@@ -20,6 +20,10 @@
 //!    (per the geo table) — shipping a provably do-nothing strategy to
 //!    the clients it was aimed at is a misconfiguration, not a rollout.
 //!
+//! [`vet_table`] runs these gates over a parsed table; `cay serve`
+//! runs it over the table it starts with too, so no table goes live
+//! without them.
+//!
 //! Any refusal leaves the running table, the program cache, and every
 //! metric byte-identical (asserted by proptest); the response still
 //! carries the full per-arm verification report so the operator can
@@ -52,19 +56,29 @@ pub struct ReloadOutcome {
     pub table: Option<(RolloutTable, Vec<Arc<Program>>)>,
 }
 
-/// Vet a config body without touching any live state.
+/// Vet a config body without touching any live state: parse it, then
+/// [`vet_table`].
 pub fn vet_config(text: &str, geo: &GeoTable, protocol: appproto::AppProtocol) -> ReloadOutcome {
-    let table = match RolloutTable::parse(text) {
-        Ok(table) => table,
-        Err(e) => {
-            return ReloadOutcome {
-                applied: false,
-                status: 400,
-                body: render_reload_json(false, &[], Some(&e.to_string())),
-                table: None,
-            }
-        }
-    };
+    match RolloutTable::parse(text) {
+        Ok(table) => vet_table(&table, geo, protocol),
+        Err(e) => ReloadOutcome {
+            applied: false,
+            status: 400,
+            body: render_reload_json(false, &[], Some(&e.to_string())),
+            table: None,
+        },
+    }
+}
+
+/// Run every gate over a parsed table's arms (200 with the table and
+/// its programs, or 422 naming the first refusal). Every table that
+/// goes live passes here: a `POST /config` body and the table
+/// `cay serve` starts with.
+pub fn vet_table(
+    table: &RolloutTable,
+    geo: &GeoTable,
+    protocol: appproto::AppProtocol,
+) -> ReloadOutcome {
     let mut entries = Vec::new();
     let mut programs = Vec::new();
     let mut refusal: Option<String> = None;
@@ -132,7 +146,7 @@ pub fn vet_config(text: &str, geo: &GeoTable, protocol: appproto::AppProtocol) -
             applied: true,
             status: 200,
             body: render_reload_json(true, &entries, None),
-            table: Some((table, programs)),
+            table: Some((table.clone(), programs)),
         },
     }
 }

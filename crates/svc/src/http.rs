@@ -319,38 +319,50 @@ pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String 
     let (status, metrics) = (status_json(shared, report), report.to_json());
     let mut out = String::with_capacity(4096);
     let mut taken = HashSet::new();
+    // One path buffer for both walks and one name buffer for every
+    // sample: a skipped leaf costs no allocation, and an exported one
+    // only its first sighting of a name.
+    let (mut path, mut name) = (String::new(), String::new());
     let mut cumulative = 0;
     for (doc, text) in [("/status", &status), ("/metrics", &metrics)] {
         // Both documents come from `Json`, so they always parse.
-        for (full, raw) in strata::json::leaves(text).unwrap_or_default() {
+        let _ = strata::json::walk_leaves(text, &mut path, |full, raw| {
             let value = match raw {
                 "false" => "0",
                 "true" => "1",
                 _ => raw,
             };
-            let path = full.strip_prefix("totals.").unwrap_or(&full);
+            let path = full.strip_prefix("totals.").unwrap_or(full);
             let numeric = value.starts_with(|c: char| c.is_ascii_digit() || c == '-');
             if path.starts_with("shards.") || !numeric {
-                continue;
+                return;
             }
             // A family's last path segment labels its samples.
-            let (name, kind, label) = match path.rsplit_once('.') {
-                Some(("applies", key)) => ("cay_applies_total".into(), "counter", Some(key)),
+            name.clear();
+            let (kind, label) = match path.rsplit_once('.') {
+                Some(("applies", key)) => {
+                    name.push_str("cay_applies_total");
+                    ("counter", Some(key))
+                }
                 Some(("bridge.frames_per_batch", i)) => {
-                    ("cay_bridge_frames_per_batch".into(), "histogram", Some(i))
+                    name.push_str("cay_bridge_frames_per_batch");
+                    ("histogram", Some(i))
                 }
-                _ if GAUGES.contains(&path) => {
-                    (format!("cay_{}", path.replace('.', "_")), "gauge", None)
+                _ => {
+                    name.push_str("cay_");
+                    name.extend(path.chars().map(|c| if c == '.' { '_' } else { c }));
+                    if GAUGES.contains(&path) {
+                        ("gauge", None)
+                    } else {
+                        name.push_str("_total");
+                        ("counter", None)
+                    }
                 }
-                _ => (
-                    format!("cay_{}_total", path.replace('.', "_")),
-                    "counter",
-                    None,
-                ),
             };
-            let new = taken.insert(name.clone());
+            let new = !taken.contains(name.as_str());
             if new {
-                let help = label.map_or(&full[..], |l| &full[..full.len() - l.len() - 1]);
+                taken.insert(name.clone());
+                let help = label.map_or(full, |l| &full[..full.len() - l.len() - 1]);
                 let _ = writeln!(out, "# HELP {name} {doc} {help}\n# TYPE {name} {kind}");
             }
             match (kind, label) {
@@ -363,7 +375,7 @@ pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String 
                 ("histogram", Some(i)) => {
                     let edge = i.parse().ok().and_then(|i: usize| EDGES.get(i));
                     let (Some(edge), Ok(n)) = (edge, value.parse::<u64>()) else {
-                        continue;
+                        return;
                     };
                     cumulative += n;
                     let _ = writeln!(out, "{name}_bucket{{le=\"{edge}\"}} {cumulative}");
@@ -374,7 +386,7 @@ pub fn prometheus(shared: &SvcShared, report: &dplane::MetricsReport) -> String 
                 }
                 _ => {}
             }
-        }
+        });
     }
     out
 }

@@ -40,7 +40,7 @@ pub mod http;
 pub mod sys;
 
 pub use bridge::{BackendChoice, Bridge, BridgeConfig, BridgeStats};
-pub use control::{apply_config, vet_config, ReloadOutcome};
+pub use control::{apply_config, vet_config, vet_table, ReloadOutcome};
 
 use dplane::{Classifier, Dplane, DplaneConfig, MetricsReport, PacketIo, Program};
 use geneva::Strategy;
@@ -331,15 +331,14 @@ impl Service {
     }
 }
 
-/// The data thread: poll sockets → pump the plane → publish, then an
-/// idle wait (blocked in `epoll_wait` until traffic or a waker kick,
-/// bounded by the publish cadence), and a quiet-period drain on
-/// shutdown.
+/// The data thread: pump the plane → publish, then one wait per
+/// iteration (blocked in `epoll_wait` until traffic or a waker kick,
+/// bounded by the publish cadence; it returns at once when a socket is
+/// already ready), and a quiet-period drain on shutdown.
 fn data_loop(mut core: Core, mut bridge: Bridge) -> MetricsReport {
     let shared = core.shared.clone();
     let mut last_publish = Instant::now();
     loop {
-        bridge.poll();
         let n = core.pump(&mut bridge);
         if n > 0 || last_publish.elapsed() > Duration::from_millis(250) {
             if n == 0 {
@@ -351,9 +350,7 @@ fn data_loop(mut core: Core, mut bridge: Bridge) -> MetricsReport {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
         }
-        if n == 0 {
-            bridge.wait(250);
-        }
+        bridge.wait(250);
     }
     // Drain: flows already admitted get their in-flight frames
     // processed; we stop once the sockets stay quiet for DRAIN_QUIET.

@@ -223,19 +223,35 @@ impl Waker {
 /// plus the sockaddr/iovec/mmsghdr vectors describing them. One arena
 /// serves every batch for the life of the socket — zero steady-state
 /// allocation.
+///
+/// The buffers live in one zeroed block, `stride` bytes apart. A block
+/// this large comes from fresh zero pages, so it is reserved at
+/// construction but resident only where datagrams land: a 40-byte
+/// frame faults in one page, not its whole 64 KiB buffer. `stride` is
+/// `buf_size` rounded up to a cache line plus one more line, so the
+/// heads of a batch's buffers fall in different cache sets (an exact
+/// 64 KiB stride would map them all to one).
 pub struct RecvArena {
-    bufs: Vec<Vec<u8>>,
+    block: Vec<u8>,
+    stride: usize,
+    buf_size: usize,
     addrs: Vec<ffi::SockAddrIn>,
     iovs: Vec<ffi::IoVec>,
     hdrs: Vec<ffi::MMsgHdr>,
     filled: usize,
 }
 
+/// Cache-line size the arena staggers its buffers by.
+const LINE: usize = 64;
+
 impl RecvArena {
     pub fn new(batch: usize, buf_size: usize) -> RecvArena {
         let batch = batch.max(1);
+        let stride = buf_size.next_multiple_of(LINE) + LINE;
         RecvArena {
-            bufs: (0..batch).map(|_| vec![0u8; buf_size]).collect(),
+            block: vec![0u8; batch * stride],
+            stride,
+            buf_size,
             addrs: vec![ffi::SockAddrIn::zeroed(); batch],
             iovs: vec![
                 ffi::IoVec {
@@ -251,7 +267,7 @@ impl RecvArena {
 
     /// Max datagrams per batch.
     pub fn batch(&self) -> usize {
-        self.bufs.len()
+        self.hdrs.len()
     }
 
     /// The datagrams the last [`recv_batch`] filled, with their source
@@ -259,7 +275,7 @@ impl RecvArena {
     pub fn frames(&self) -> impl Iterator<Item = (&[u8], SocketAddrV4)> {
         self.hdrs[..self.filled]
             .iter()
-            .zip(&self.bufs)
+            .zip(self.block.chunks(self.stride))
             .zip(&self.addrs)
             .map(|((hdr, buf), addr)| (&buf[..hdr.len as usize], addr.to_v4()))
     }
@@ -269,12 +285,13 @@ impl RecvArena {
 /// 0 when the socket has nothing ready (`WouldBlock` is not an error).
 pub fn recv_batch(fd: RawFd, arena: &mut RecvArena, ctr: &SyscallCounter) -> io::Result<usize> {
     // Rebuild the pointer vectors from fresh borrows each call: the
-    // storage never moves (fixed-capacity Vecs allocated in `new`),
-    // but re-deriving the pointers keeps the borrows honest.
-    for i in 0..arena.bufs.len() {
+    // block never moves (allocated once in `new`), but re-deriving the
+    // pointers keeps the borrows honest.
+    for (i, chunk) in arena.block.chunks_mut(arena.stride).enumerate() {
+        let buf = &mut chunk[..arena.buf_size];
         arena.iovs[i] = ffi::IoVec {
-            base: arena.bufs[i].as_mut_ptr(),
-            len: arena.bufs[i].len(),
+            base: buf.as_mut_ptr(),
+            len: buf.len(),
         };
         arena.addrs[i] = ffi::SockAddrIn::zeroed();
         arena.hdrs[i] = ffi::MMsgHdr {
@@ -515,6 +532,8 @@ pub fn send_frames<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::SocketAddr;
+    use std::os::unix::io::AsRawFd;
 
     fn dst(port: u16) -> SocketAddrV4 {
         SocketAddrV4::new([127, 0, 0, 1].into(), port)
@@ -599,6 +618,36 @@ mod tests {
         assert_eq!(cmsg[len - 2..len], 1500u16.to_ne_bytes());
         #[cfg(target_pointer_width = "64")]
         assert_eq!((ffi::SEGMENT_CMSG_LEN, ffi::SEGMENT_CMSG_SPACE), (18, 24));
+    }
+
+    /// The arena's buffers are staggered in one block, but each still
+    /// takes a whole datagram: a full batch whose last datagram is the
+    /// largest UDP payload IPv4 carries arrives whole and in order.
+    #[test]
+    fn a_full_batch_ending_in_the_largest_datagram_arrives_whole() {
+        use std::net::UdpSocket;
+        let rx = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
+        rx.set_nonblocking(true).expect("nonblocking");
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
+        let sent: Vec<Vec<u8>> = (0..64u8)
+            .map(|i| match i {
+                63 => (0..=255u8).cycle().take(GSO_MAX_BYTES).collect(),
+                _ => vec![i; 40 + usize::from(i)],
+            })
+            .collect();
+        for payload in &sent {
+            tx.send_to(payload, rx.local_addr().expect("addr"))
+                .expect("send");
+        }
+        let mut arena = RecvArena::new(64, 65_535);
+        let ctr = SyscallCounter::new();
+        let n = recv_batch(rx.as_raw_fd(), &mut arena, &ctr).expect("recvmmsg");
+        assert_eq!(n, 64);
+        let got: Vec<&[u8]> = arena.frames().map(|(bytes, _)| bytes).collect();
+        assert_eq!(got[63].len(), GSO_MAX_BYTES);
+        assert!(got.iter().zip(&sent).all(|(got, sent)| got == sent));
+        let from = tx.local_addr().expect("addr");
+        assert!(arena.frames().all(|(_, addr)| SocketAddr::V4(addr) == from));
     }
 
     #[test]

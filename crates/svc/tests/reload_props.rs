@@ -233,6 +233,20 @@ fn duplicate_tree(depth: u32) -> String {
     }
 }
 
+/// The tables `cay serve` starts with by default pass the reload
+/// gates: for each of the five protocols, the demo geography's
+/// `from_geo` table is admitted.
+#[test]
+fn every_from_geo_startup_table_is_admitted() {
+    let entries = demo_geo_entries();
+    let geo = harness::deploy::GeoTable::new(entries.iter().copied());
+    for protocol in appproto::AppProtocol::all() {
+        let table = RolloutTable::from_geo(&entries, protocol);
+        let outcome = svc::vet_table(&table, &geo, protocol);
+        assert_eq!(outcome.status, 200, "{protocol:?}: {}", outcome.body);
+    }
+}
+
 /// The amplification gate sits exactly at the threshold: 7 emissions
 /// per trigger are admitted, 8 are refused.
 #[test]

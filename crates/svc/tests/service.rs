@@ -519,3 +519,57 @@ fn core_still_publishes_after_the_snapshot_lock_is_poisoned() {
         .packets;
     assert_eq!(published, 4);
 }
+
+/// One wakeup costs one wait: a frame that arrives alone is read by
+/// the data loop's blocking `epoll_wait` plus one `recvmmsg`, and its
+/// emission leaves in one `sendmmsg` — 3 syscalls, with a margin for
+/// the idle loop's 250 ms timeouts.
+#[test]
+fn a_lone_frame_costs_three_syscalls() {
+    let (service, origin) = start_service();
+    let ctl = service.control_addr;
+    let client = UdpSocket::bind(loopback()).unwrap();
+    // Outside every rollout prefix: each frame passes through to the
+    // origin as exactly one emission.
+    let frame = |seq| {
+        tcp_pkt(
+            [192, 0, 2, 1],
+            40300,
+            SERVER,
+            80,
+            TcpFlags::ACK,
+            seq,
+            1,
+            vec![],
+        )
+        .serialize_raw()
+    };
+    let mut buf = [0u8; 65536];
+    // The bridge counters /status shows once `frames_out` reaches `n`.
+    let syscalls_at = |n: u64| {
+        let deadline = Instant::now() + Duration::from_secs(3);
+        loop {
+            let (_, body) = get(ctl, "/status");
+            if json_u64(&body, "bridge.frames_out") >= n {
+                return json_u64(&body, "bridge.syscalls");
+            }
+            assert!(Instant::now() < deadline, "frames_out never reached {n}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    client.send_to(&frame(0), service.udp_addr).unwrap();
+    origin.recv_from(&mut buf).unwrap();
+    let before = syscalls_at(1);
+    const FRAMES: u32 = 200;
+    for seq in 1..=FRAMES {
+        let sent = frame(seq);
+        client.send_to(&sent, service.udp_addr).unwrap();
+        let (n, _) = origin.recv_from(&mut buf).unwrap();
+        assert_eq!(&buf[..n], &sent[..]);
+    }
+    let after = syscalls_at(1 + u64::from(FRAMES));
+    let per_frame = (after - before) as f64 / f64::from(FRAMES);
+    assert!(per_frame <= 3.2, "{per_frame} syscalls per lone frame");
+    service.shutdown();
+    service.join();
+}

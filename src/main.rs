@@ -514,10 +514,15 @@ fn verify(args: &[String]) {
     }
 }
 
+const SERVE_USAGE: &str = "usage: cay serve [--udp A] [--tcp A] [--control A] [--upstream A] \
+                           [--geo file] [--rollout file] [--backend epoll]";
+
 /// `cay serve` — run the live service until an operator posts
 /// `/shutdown` (the SIGTERM stand-in; std cannot observe real signals
 /// without a libc binding). Prints the final drained metrics snapshot
 /// to stdout on exit, so a supervisor always gets a complete report.
+/// A `--control` address off loopback exits 2 before anything binds;
+/// a startup table the reload gates refuse exits 2 with the 422 body.
 fn serve(args: &[String]) {
     let mut udp = "127.0.0.1:7070".to_string();
     let mut tcp: Option<String> = None;
@@ -549,11 +554,7 @@ fn serve(args: &[String]) {
                 });
             }
             other => {
-                eprintln!(
-                    "serve: unknown argument {other}\n\
-                     usage: cay serve [--udp A] [--tcp A] [--control A] [--upstream A] \
-                     [--geo file] [--rollout file] [--backend epoll]"
-                );
+                eprintln!("serve: unknown argument {other}\n{SERVE_USAGE}");
                 std::process::exit(2);
             }
         }
@@ -565,6 +566,16 @@ fn serve(args: &[String]) {
             std::process::exit(2);
         })
     };
+    // `POST /config` and `POST /shutdown` carry no authentication, so
+    // the control plane answers on loopback only.
+    let control = addr(&control, "--control");
+    if !control.ip().is_loopback() {
+        eprintln!(
+            "serve: --control {control} is not a loopback address (the control plane \
+             has no authentication)\n{SERVE_USAGE}"
+        );
+        std::process::exit(2);
+    }
     // Geography: operator-supplied prefix table, or the demo table.
     let geo = match &geo_path {
         Some(path) => {
@@ -602,6 +613,19 @@ fn serve(args: &[String]) {
         }
         None => harness::deploy::RolloutTable::from_geo(&geo, AppProtocol::Http),
     };
+    // The startup table passes the same gates as a reload; its
+    // compiled programs are dropped, so the data plane's program cache
+    // starts cold exactly as an offline run's does.
+    let vetted = svc::vet_table(
+        &rollout,
+        &harness::deploy::GeoTable::new(geo.iter().copied()),
+        AppProtocol::Http,
+    );
+    if !vetted.applied {
+        eprintln!("serve: the startup rollout table is refused");
+        print!("{}", vetted.body);
+        std::process::exit(2);
+    }
     let cfg = svc::ServeConfig {
         bridge: svc::BridgeConfig {
             udp: addr(&udp, "--udp"),
@@ -609,7 +633,7 @@ fn serve(args: &[String]) {
             upstream: addr(&upstream, "--upstream"),
             backend,
         },
-        control: addr(&control, "--control"),
+        control,
         core: svc::CoreConfig {
             dplane: DplaneConfig {
                 seed: SeedMode::PerFlow(0x0D1A),

@@ -1,7 +1,8 @@
 #![allow(clippy::unwrap_used)] // test code
-//! Bad operands to `cay evolve`, `table2`, `multibox`, `followups` and
-//! `verify` exit 2 with a usage message before any experiment runs,
-//! instead of silently falling back to a default.
+//! Bad operands to `cay evolve`, `table2`, `multibox`, `followups`,
+//! `verify` and `serve` exit 2 with a usage message before any
+//! experiment runs or socket binds, instead of silently falling back to
+//! a default.
 
 use std::process::Output;
 
@@ -89,4 +90,63 @@ fn verify_points_a_caret_at_a_parse_error() {
         assert_eq!(column, 2 + dsl.chars().count(), "{stderr}");
         assert!(out.stdout.is_empty());
     }
+}
+
+#[test]
+fn serve_refuses_a_control_address_off_loopback() {
+    assert_usage_error(
+        &["serve", "--control", "0.0.0.0:0"],
+        "--control 0.0.0.0:0 is not a loopback address",
+    );
+}
+
+/// The table `cay serve` starts with passes the reload gates: an arm a
+/// `POST /config` would refuse with 422 stops the service before it
+/// binds, with the same body on stdout.
+#[test]
+fn serve_refuses_a_startup_table_the_reload_gates_refuse() {
+    fn duplicate_tree(depth: u32) -> String {
+        match depth {
+            1 => "duplicate".to_string(),
+            _ => {
+                let half = duplicate_tree(depth - 1);
+                format!("duplicate({half},{half})")
+            }
+        }
+    }
+    let path = std::env::temp_dir().join(format!("cay-startup-{}.rollout", std::process::id()));
+    let table = format!(
+        "10.7.0.0/16 100 [TCP:flags:SA]-{}-| \\/\n",
+        duplicate_tree(8)
+    );
+    std::fs::write(&path, table).unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cay"))
+        .args(["serve", "--udp", "127.0.0.1:0", "--control", "127.0.0.1:0"])
+        .arg("--rollout")
+        .arg(&path)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // A service that started anyway would run until shut down.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("startup rollout table is refused"),
+        "{stderr}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("../crates/svc/tests/golden/reload_amplifier.json")
+    );
 }

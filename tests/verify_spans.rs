@@ -17,7 +17,7 @@ const HAND_WRITTEN: &[&str] = &[
     "[TCP:flags:SA]-duplicate(    tamper{IP:ttl:replace:2},)-| \\/",
     "[TCP:flags:SA]-duplicate(duplicate,  tamper{IP:ttl:replace:2})-| \\/",
     "[TCP:flags:SA]-tamper{TCP:load:corrupt}(duplicate,)-|  \\/",
-    "[TCP:flags:SA]-duplicate(duplicate(duplicate,duplicate),duplicate(duplicate,duplicate))-| \\/",
+    "[TCP:flags:SA]-duplicate(duplicate(drop,drop),duplicate(drop,))-| \\/",
     "[TCP:flags:SA]-drop-|   [TCP:flags:SA]-duplicate-| \\/",
     "[TCP:sport:70000]-drop-|  [TCP:flags:SA]-fragment{tcp:0:True}( tamper{IP:ttl:replace:2},)-| \\/",
     " \\/  [TCP:flags:R]-tamper{TCP:chksum:corrupt}-|",
