@@ -439,15 +439,6 @@ impl<A: ServerApp> ServerHost<A> {
     pub fn responded_any(&self) -> bool {
         self.conns.values().any(|c| c.responded)
     }
-
-    /// The full client byte stream observed on each connection
-    /// (diagnostics for tests and follow-up experiments).
-    pub fn request_streams(&self) -> Vec<&[u8]> {
-        self.conns
-            .values()
-            .map(|c| c.request_buf.as_slice())
-            .collect()
-    }
 }
 
 impl<A: ServerApp> Endpoint for ServerHost<A> {

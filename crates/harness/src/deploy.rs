@@ -194,13 +194,6 @@ impl GeoTable {
     }
 }
 
-/// Longest-prefix-match a client address against unindexed rows
-/// (convenience; builds the sorted table per call — hot paths should
-/// hold a [`GeoTable`]).
-pub fn locate(addr: [u8; 4], table: &[GeoEntry]) -> Option<Country> {
-    GeoTable::new(table.iter().copied()).locate(addr)
-}
-
 /// The censor model that governs a geo-located country's clients:
 /// the automaton the product model checker proves verdicts against.
 pub fn censor_id(country: Country) -> CensorId {
@@ -666,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_locate_agrees_with_table_and_handles_edges() {
+    fn geo_table_locate_handles_edges() {
         let rows = vec![
             GeoEntry {
                 prefix: [0, 0, 0, 0],
@@ -685,11 +678,11 @@ mod tests {
                 country: Country::Iran,
             },
         ];
-        let table = GeoTable::new(rows.clone());
-        for addr in [[10, 7, 1, 1], [10, 8, 200, 200], [1, 2, 3, 4]] {
-            assert_eq!(table.locate(addr), locate(addr, &rows), "{addr:?}");
-        }
+        let table = GeoTable::new(rows);
+        assert_eq!(table.locate([10, 7, 1, 1]), Some(Country::China));
         assert_eq!(table.locate([10, 7, 255, 255]), Some(Country::China));
+        assert_eq!(table.locate([10, 8, 200, 200]), Some(Country::Iran));
+        assert_eq!(table.locate([1, 2, 3, 4]), Some(Country::India));
         assert_eq!(table.locate([10, 8, 0, 1]), Some(Country::Iran));
         assert_eq!(table.locate([99, 99, 99, 99]), Some(Country::India));
         // Duplicate (network, length): the later row wins.

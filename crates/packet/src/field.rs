@@ -438,7 +438,10 @@ impl FieldRef {
     }
 }
 
-fn numeric(value: &FieldValue) -> u64 {
+/// The conversion [`FieldRef::set`] applies to every numeric write:
+/// strings parse as decimal (0 when they do not), bytes read as a
+/// big-endian integer of their first eight, empty is 0.
+pub fn numeric(value: &FieldValue) -> u64 {
     match value {
         FieldValue::Num(n) => *n,
         FieldValue::Str(s) => s.parse().unwrap_or(0),

@@ -36,7 +36,7 @@
 
 use geneva::ast::{Action, StrategyPart, TamperMode};
 use geneva::Strategy;
-use packet::field::{FieldKind, FieldRef, FieldValue};
+use packet::field::{numeric, FieldKind, FieldRef, FieldValue};
 use packet::{Proto, TcpFlags};
 
 /// Equivalence-class hash of a canonical strategy. Two strategies with
@@ -216,23 +216,6 @@ pub(crate) fn fold_value(field: &FieldRef, value: &FieldValue) -> FieldValue {
             },
             other => other.clone(),
         },
-    }
-}
-
-/// Mirror of `packet::field::numeric` (private there): the conversion
-/// `FieldRef::set` applies to every numeric write.
-fn numeric(value: &FieldValue) -> u64 {
-    match value {
-        FieldValue::Num(n) => *n,
-        FieldValue::Str(s) => s.parse().unwrap_or(0),
-        FieldValue::Bytes(b) => {
-            let mut n = 0u64;
-            for byte in b.iter().take(8) {
-                n = (n << 8) | u64::from(*byte);
-            }
-            n
-        }
-        FieldValue::Empty => 0,
     }
 }
 

@@ -68,10 +68,9 @@ pub const MAX_FRAME: usize = 65_535;
 /// again on the next wait.
 const TCP_READ_BUDGET: usize = 4 * MAX_FRAME;
 
-/// Upper bound on concurrently tracked TCP ingress connections.
-/// Learned peer routes index into the connection table, so closed
-/// slots are retired in place rather than removed; the cap keeps a
-/// connect-flood from growing the table without bound.
+/// Upper bound on concurrently open TCP ingress connections. A new
+/// connection takes the first closed slot of the connection table, so
+/// the cap keeps a connect-flood from growing the table without bound.
 pub const MAX_CONNS: usize = 1024;
 
 /// Addresses per generation of learned routes (see [`Routes`]): the
@@ -121,7 +120,8 @@ pub struct BridgeConfig {
     /// Optional TCP bind address for length-prefixed frame streams.
     pub tcp: Option<SocketAddr>,
     /// Default egress for emissions whose inner destination has no
-    /// learned peer (typically the origin server's bridge).
+    /// learned peer (typically the origin server's bridge). Must be
+    /// IPv4, like the UDP socket it is sent from.
     pub upstream: SocketAddr,
     /// Socket backend (see [`BackendChoice`]).
     pub backend: BackendChoice,
@@ -140,7 +140,7 @@ pub struct BridgeStats {
     /// Emissions dropped because no peer and no upstream would take
     /// them (send failure, closed connection, or egress cap).
     pub unroutable: u64,
-    /// TCP ingress connections accepted.
+    /// TCP ingress connections accepted and kept (not over the cap).
     pub tcp_accepted: u64,
     /// Syscalls made by this bridge (via
     /// [`crate::sys::SyscallCounter`]).
@@ -182,9 +182,10 @@ impl BridgeStats {
 enum Peer {
     /// A UDP peer at this socket address (the socket is IPv4-only).
     Udp(SocketAddrV4),
-    /// A TCP ingress connection, by index into `Bridge::conns` (below
-    /// [`MAX_CONNS`]).
-    Tcp(u32),
+    /// A TCP ingress connection: its slot in `Bridge::conns` and the
+    /// slot's generation when learned, so a route to a closed
+    /// connection never reaches the slot's next occupant.
+    Tcp { slot: u16, generation: u32 },
 }
 
 /// Learned `inner source address → peer` routes in two generations of
@@ -218,9 +219,14 @@ impl Routes {
     }
 }
 
-/// One TCP ingress connection with its reassembly and write buffers.
+/// One TCP ingress connection slot with its reassembly and write
+/// buffers; a closed slot (`stream` is `None`) takes the next one.
+#[derive(Default)]
 struct Conn {
     stream: Option<TcpStream>,
+    /// Bumped by each new connection; a slot at `u32::MAX` is never
+    /// reused, so no route outlives its connection.
+    generation: u32,
     rd: Vec<u8>,
     /// Unsent egress bytes (length-prefixed frames); `wr_pos` is the
     /// cursor of what the kernel has taken, so draining the front
@@ -234,6 +240,15 @@ struct Conn {
 impl Conn {
     fn pending_out(&self) -> usize {
         self.wr.len() - self.wr_pos
+    }
+
+    /// Close the connection (dropping its fd also deregisters it from
+    /// the epoll) and free its buffers.
+    fn close(&mut self) {
+        *self = Conn {
+            generation: self.generation,
+            ..Conn::default()
+        };
     }
 }
 
@@ -252,13 +267,13 @@ pub struct Bridge {
     tcp: Option<TcpListener>,
     conns: Vec<Conn>,
     peers: Routes,
-    upstream: SocketAddr,
+    upstream: SocketAddrV4,
     epoch: Instant,
     queue: VecDeque<(u64, Packet)>,
     /// Read buffer for TCP ingress; empty without a TCP listener.
     buf: Vec<u8>,
     /// Queued UDP egress: destination + serialized frame.
-    udp_out: VecDeque<(SocketAddr, Vec<u8>)>,
+    udp_out: VecDeque<(SocketAddrV4, Vec<u8>)>,
     /// Recycled egress buffers (capacity survives the round trip).
     spare: Vec<Vec<u8>>,
     ctr: sys::SyscallCounter,
@@ -283,15 +298,15 @@ impl Bridge {
     /// Bind the front-end sockets (nonblocking) and register them with
     /// a fresh epoll instance. Port 0 works; the bound addresses are
     /// readable via [`Bridge::udp_addr`] / [`Bridge::tcp_addr`]. A
-    /// non-IPv4 UDP bind is an error.
+    /// non-IPv4 UDP bind or upstream is an error.
     pub fn bind(cfg: &BridgeConfig) -> io::Result<Bridge> {
-        let udp = UdpSocket::bind(cfg.udp)?;
-        if !udp.local_addr()?.is_ipv4() {
+        let (SocketAddr::V4(_), SocketAddr::V4(upstream)) = (cfg.udp, cfg.upstream) else {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "the bridge requires an IPv4 UDP bind",
+                "the bridge requires an IPv4 UDP bind and upstream",
             ));
-        }
+        };
+        let udp = UdpSocket::bind(cfg.udp)?;
         udp.set_nonblocking(true)?;
         let tcp = match cfg.tcp {
             Some(addr) => {
@@ -317,7 +332,7 @@ impl Bridge {
             tcp,
             conns: Vec::new(),
             peers: Routes::default(),
-            upstream: cfg.upstream,
+            upstream,
             epoch: Instant::now(),
             queue: VecDeque::new(),
             buf,
@@ -358,11 +373,6 @@ impl Bridge {
     /// clock, so flow idle expiry tracks real time.
     pub fn now_us(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Frames queued but not yet pulled by the data plane.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Egress frames queued but not yet handed to the kernel.
@@ -451,37 +461,39 @@ impl Bridge {
         queued
     }
 
-    /// Accept every pending connection and register it with epoll.
+    /// Accept every pending connection into the first reusable closed
+    /// slot, or a new one below [`MAX_CONNS`], and register it.
     fn accept_tcp(&mut self) {
         let Some(listener) = &self.tcp else { return };
         loop {
             self.ctr.bump();
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    self.stats.tcp_accepted += 1;
-                    let token = TOKEN_CONN_BASE + self.conns.len() as u64;
-                    if self.conns.len() >= MAX_CONNS
-                        || stream.set_nonblocking(true).is_err()
-                        || self
-                            .ep
-                            .add(stream.as_raw_fd(), token, sys::EV_READ)
-                            .is_err()
-                    {
-                        // Drop it: over cap (or unusable). The peer sees
-                        // a closed connection and can retry later.
-                        continue;
-                    }
-                    self.conns.push(Conn {
-                        stream: Some(stream),
-                        rd: Vec::new(),
-                        wr: Vec::new(),
-                        wr_pos: 0,
-                        out_armed: false,
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+            let Ok((stream, _)) = listener.accept() else {
+                break;
+            };
+            let idx = self
+                .conns
+                .iter()
+                .position(|c| c.stream.is_none() && c.generation < u32::MAX)
+                .unwrap_or(self.conns.len());
+            let token = TOKEN_CONN_BASE + idx as u64;
+            if idx >= MAX_CONNS
+                || stream.set_nonblocking(true).is_err()
+                || self
+                    .ep
+                    .add(stream.as_raw_fd(), token, sys::EV_READ)
+                    .is_err()
+            {
+                // Drop it: over cap (or unusable). The peer sees a
+                // closed connection and can retry later.
+                continue;
             }
+            self.stats.tcp_accepted += 1;
+            if idx == self.conns.len() {
+                self.conns.push(Conn::default());
+            }
+            let conn = &mut self.conns[idx];
+            conn.stream = Some(stream);
+            conn.generation += 1;
         }
     }
 
@@ -515,7 +527,7 @@ impl Bridge {
                 Err(_) => {}
             }
             // End of stream or a read error.
-            self.conns[idx].stream = None;
+            self.conns[idx].close();
             break;
         }
         queued
@@ -526,7 +538,7 @@ impl Bridge {
     /// cursor, then drop the consumed bytes with one drain.
     fn extract_frames(&mut self, idx: usize) -> usize {
         let now = self.now_us();
-        let conn_id = u32::try_from(idx).expect("connection index below MAX_CONNS");
+        let slot = u16::try_from(idx).expect("connection index below MAX_CONNS");
         let Bridge {
             conns,
             peers,
@@ -542,8 +554,7 @@ impl Bridge {
             if len == 0 || len > MAX_FRAME {
                 // Corrupt framing: poison the connection.
                 stats.parse_errors += 1;
-                conn.rd.clear();
-                conn.stream = None;
+                conn.close();
                 return queued;
             }
             let Some(frame) = conn.rd.get(pos + 4..pos + 4 + len) else {
@@ -551,7 +562,8 @@ impl Bridge {
             };
             match Packet::parse(frame) {
                 Ok(pkt) => {
-                    peers.learn(pkt.ip.src, Peer::Tcp(conn_id));
+                    let generation = conn.generation;
+                    peers.learn(pkt.ip.src, Peer::Tcp { slot, generation });
                     queue.push_back((now, pkt));
                     stats.frames_in += 1;
                     queued += 1;
@@ -569,19 +581,16 @@ impl Bridge {
     /// when they enter a live connection's write buffer.
     fn route_frame(&mut self, dst: [u8; 4], bytes: Vec<u8>) {
         match self.peers.get(&dst) {
-            Some(Peer::Udp(addr)) => self.queue_udp(SocketAddr::V4(addr), bytes),
-            Some(Peer::Tcp(idx)) => {
-                self.queue_tcp(idx as usize, &bytes);
+            Some(Peer::Udp(addr)) => self.queue_udp(addr, bytes),
+            Some(Peer::Tcp { slot, generation }) => {
+                self.queue_tcp(usize::from(slot), generation, &bytes);
                 self.recycle(bytes);
             }
-            None => {
-                let upstream = self.upstream;
-                self.queue_udp(upstream, bytes);
-            }
+            None => self.queue_udp(self.upstream, bytes),
         }
     }
 
-    fn queue_udp(&mut self, addr: SocketAddr, bytes: Vec<u8>) {
+    fn queue_udp(&mut self, addr: SocketAddrV4, bytes: Vec<u8>) {
         if self.udp_out.len() >= UDP_EGRESS_CAP {
             self.stats.unroutable += 1;
             self.recycle(bytes);
@@ -590,18 +599,17 @@ impl Bridge {
         self.udp_out.push_back((addr, bytes));
     }
 
-    fn queue_tcp(&mut self, idx: usize, bytes: &[u8]) {
+    /// Append one frame to slot `idx`'s buffer if `generation` is open.
+    fn queue_tcp(&mut self, idx: usize, generation: u32, bytes: &[u8]) {
         let conn = &mut self.conns[idx];
-        if conn.stream.is_none() {
+        if conn.stream.is_none() || conn.generation != generation {
             self.stats.unroutable += 1;
             return;
         }
         if conn.pending_out() + 4 + bytes.len() > TCP_EGRESS_CAP {
             // Slower than the cap allows: poison the connection rather
             // than buffer without bound.
-            conn.stream = None;
-            conn.wr.clear();
-            conn.wr_pos = 0;
+            conn.close();
             self.stats.unroutable += 1;
             return;
         }
@@ -635,25 +643,11 @@ impl Bridge {
     /// event loop resumes exactly when the socket drains.
     fn flush_udp(&mut self) {
         while !self.udp_out.is_empty() {
-            // Drop non-IPv4 destinations (the socket is bound IPv4-only,
-            // so these cannot be delivered).
-            while let Some((SocketAddr::V6(_), _)) = self.udp_out.front() {
-                if let Some((_, bytes)) = self.udp_out.pop_front() {
-                    self.stats.unroutable += 1;
-                    self.recycle(bytes);
-                }
-            }
-            if self.udp_out.is_empty() {
-                break;
-            }
-            let window =
-                self.udp_out
-                    .iter()
-                    .take(RECV_BATCH)
-                    .map_while(|(addr, bytes)| match addr {
-                        SocketAddr::V4(v4) => Some((*v4, bytes.as_slice())),
-                        SocketAddr::V6(_) => None,
-                    });
+            let window = self
+                .udp_out
+                .iter()
+                .take(RECV_BATCH)
+                .map(|(addr, bytes)| (*addr, bytes.as_slice()));
             let sent = match sys::send_frames(
                 self.udp.as_raw_fd(),
                 &mut self.scratch,
@@ -717,8 +711,6 @@ impl Bridge {
         } = self;
         let conn = &mut conns[idx];
         let Some(stream) = &mut conn.stream else {
-            conn.wr.clear();
-            conn.wr_pos = 0;
             return false;
         };
         let mut blocked = false;
@@ -743,9 +735,8 @@ impl Bridge {
             }
         }
         if dead {
-            conn.stream = None;
-        }
-        if conn.stream.is_none() || conn.wr_pos >= conn.wr.len() {
+            conn.close();
+        } else if conn.wr_pos >= conn.wr.len() {
             conn.wr.clear();
             conn.wr_pos = 0;
         }
@@ -835,19 +826,23 @@ mod tests {
         // Every ROUTE_CAP-th learning re-learns the same address; the
         // others are all distinct.
         let sticky = [192, 0, 2, 1];
+        let tcp = |slot| Peer::Tcp {
+            slot,
+            generation: 0,
+        };
         let mut routes = Routes::default();
         for i in 0..3 * ROUTE_CAP {
             if i % ROUTE_CAP == 0 {
                 if i > 0 {
-                    assert_eq!(routes.get(&sticky), Some(Peer::Tcp(7)), "at {i}");
+                    assert_eq!(routes.get(&sticky), Some(tcp(7)), "at {i}");
                 }
-                routes.learn(sticky, Peer::Tcp(7));
+                routes.learn(sticky, tcp(7));
             } else {
                 routes.learn(addr(i), peer(i));
             }
             assert!(routes.young.len() + routes.old.len() <= 2 * ROUTE_CAP);
         }
-        assert_eq!(routes.get(&sticky), Some(Peer::Tcp(7)));
+        assert_eq!(routes.get(&sticky), Some(tcp(7)));
         // The latest ROUTE_CAP learnings all resolve to their peer.
         for i in (2 * ROUTE_CAP + 1)..3 * ROUTE_CAP {
             assert_eq!(routes.get(&addr(i)), Some(peer(i)), "recent {i}");
@@ -858,14 +853,14 @@ mod tests {
         // A route that moves from peer A to peer B takes effect, from
         // the young generation and from the old one.
         let moved = addr(3 * ROUTE_CAP - 1);
-        routes.learn(moved, Peer::Tcp(1));
-        assert_eq!(routes.get(&moved), Some(Peer::Tcp(1)));
+        routes.learn(moved, tcp(1));
+        assert_eq!(routes.get(&moved), Some(tcp(1)));
         for i in 0..ROUTE_CAP {
             routes.learn(addr(4 * ROUTE_CAP + i), peer(i));
         }
         assert!(!routes.young.contains_key(&moved) && routes.old.contains_key(&moved));
-        routes.learn(moved, Peer::Tcp(2));
-        assert_eq!(routes.get(&moved), Some(Peer::Tcp(2)));
+        routes.learn(moved, tcp(2));
+        assert_eq!(routes.get(&moved), Some(tcp(2)));
     }
 
     #[test]
@@ -933,7 +928,7 @@ mod tests {
         client.flush().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(10));
         bridge.poll();
-        assert_eq!(bridge.pending(), 0, "half a frame must not parse");
+        assert_eq!(bridge.queue.len(), 0, "half a frame must not parse");
         client.write_all(&msg[7..]).unwrap();
         client.flush().unwrap();
         let mut got = 0;
@@ -1073,7 +1068,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(bridge.stats.parse_errors, 1);
-        assert_eq!(bridge.pending(), 0);
+        assert_eq!(bridge.queue.len(), 0);
     }
 
     #[test]
@@ -1259,6 +1254,102 @@ mod tests {
         assert_eq!(bridge.stats.unroutable, 0);
         assert_eq!(bridge.stats.gso_fallbacks, 1);
         assert_eq!(bridge.stats.gso_sends, 0);
+    }
+
+    #[test]
+    fn bind_refuses_an_ipv6_upstream() {
+        let err = Bridge::bind(&BridgeConfig {
+            udp: loopback(),
+            tcp: None,
+            upstream: "[::1]:7072".parse().unwrap(),
+            backend: BackendChoice::Epoll,
+        })
+        .err()
+        .unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+    }
+
+    #[test]
+    fn route_entries_stay_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Peer>(), 8);
+        assert_eq!(std::mem::size_of::<([u8; 4], Peer)>(), 12);
+    }
+
+    /// Poll until `done` holds; fails after 2 s.
+    fn poll_until(bridge: &mut Bridge, done: impl Fn(&Bridge) -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(2);
+        while !done(bridge) {
+            assert!(Instant::now() < deadline, "timed out: {:?}", bridge.stats);
+            bridge.wait(1);
+        }
+    }
+
+    /// Connect, send one frame from inner address `src`, and poll
+    /// until the bridge has queued it; returns the open client.
+    fn connect_and_send(bridge: &mut Bridge, src: [u8; 4]) -> TcpStream {
+        let mut client = TcpStream::connect(bridge.tcp_addr().unwrap()).unwrap();
+        let bytes = frame(src, [93, 184, 216, 34]).serialize_raw();
+        client
+            .write_all(&(u32::try_from(bytes.len()).unwrap()).to_be_bytes())
+            .unwrap();
+        client.write_all(&bytes).unwrap();
+        poll_until(bridge, |b| !b.queue.is_empty());
+        assert_eq!(bridge.recv().unwrap().1.ip.src, src);
+        client
+    }
+
+    /// Drop the client and poll until the bridge has closed its slot.
+    fn hang_up(bridge: &mut Bridge, client: TcpStream) {
+        drop(client);
+        poll_until(bridge, |b| b.conns.iter().all(|c| c.stream.is_none()));
+    }
+
+    #[test]
+    fn closed_tcp_slots_are_reused() {
+        const CYCLES: u64 = 1_100;
+        let mut bridge = bind(true, loopback());
+        for i in 0..CYCLES {
+            let client = connect_and_send(&mut bridge, [10, 91, 0, 9]);
+            hang_up(&mut bridge, client);
+            assert_eq!(bridge.stats.frames_in, i + 1);
+        }
+        assert_eq!(bridge.stats.tcp_accepted, CYCLES);
+        assert_eq!(bridge.conns.len(), 1, "one slot, reused every cycle");
+        assert_eq!(bridge.conns[0].rd.capacity(), 0, "buffers freed at close");
+    }
+
+    #[test]
+    fn a_closed_connections_route_never_reaches_the_slots_next_occupant() {
+        const OLD: [u8; 4] = [10, 91, 0, 1];
+        const NEW: [u8; 4] = [10, 91, 0, 2];
+        let upstream = UdpSocket::bind(loopback()).unwrap();
+        let mut bridge = bind(true, upstream.local_addr().unwrap());
+        let old = connect_and_send(&mut bridge, OLD);
+        hang_up(&mut bridge, old);
+        let mut new = connect_and_send(&mut bridge, NEW);
+        assert_eq!(bridge.conns.len(), 1, "the slot was reused");
+        bridge.emit(0, frame([93, 184, 216, 34], OLD));
+        bridge.emit(0, frame([93, 184, 216, 34], NEW));
+        bridge.flush();
+        assert_eq!(bridge.stats.unroutable, 1, "{:?}", bridge.stats);
+        assert_eq!(bridge.stats.frames_out, 1);
+        // The new occupant gets its own frame and nothing else.
+        new.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
+        let mut hdr = [0u8; 4];
+        new.read_exact(&mut hdr).unwrap();
+        let mut body = vec![0u8; u32::from_be_bytes(hdr) as usize];
+        new.read_exact(&mut body).unwrap();
+        assert_eq!(Packet::parse(&body).unwrap().ip.dst, NEW);
+        new.set_nonblocking(true).unwrap();
+        assert!(new.read(&mut hdr).is_err(), "no frame for the old peer");
+
+        // A slot whose generation cannot grow is retired, not reused.
+        hang_up(&mut bridge, new);
+        bridge.conns[0].generation = u32::MAX;
+        let _next = connect_and_send(&mut bridge, [10, 91, 0, 3]);
+        assert_eq!(bridge.conns.len(), 2);
+        assert_eq!(bridge.conns[1].generation, 1);
     }
 
     #[test]

@@ -27,21 +27,20 @@
 //! Any refusal leaves the running table, the program cache, and every
 //! metric byte-identical (asserted by proptest); the response still
 //! carries the full per-arm verification report so the operator can
-//! see exactly which arm failed and why. On success the pre-compiled
-//! programs are queued in [`crate::SvcShared::reloaded`] and the table
-//! is swapped. The data thread, which alone owns the program cache,
-//! installs the programs with the counter-neutral
-//! [`dplane::ProgramCache::insert`] at the top of its next pump, so
-//! post-reload flows hit without skewing hit/miss parity against an
-//! offline run.
+//! see exactly which arm failed and why. On success the table and its
+//! pre-compiled programs replace [`crate::SvcShared::rollout`] as one
+//! [`LiveRollout`]. The data thread, which alone owns the program
+//! cache, sees the new table at the top of its next pump and installs
+//! the programs with the counter-neutral
+//! [`dplane::ProgramCache::insert`], so post-reload flows hit without
+//! skewing hit/miss parity against an offline run.
 
-use dplane::Program;
 use harness::deploy::{censor_id, GeoTable, RolloutTable};
 use std::sync::Arc;
 use strata::censor_model::Verdict;
 use strata::report::render_reload_json;
 
-use crate::{unpoisoned, SvcShared};
+use crate::{unpoisoned, LiveRollout, SvcShared};
 
 /// The result of vetting (and possibly applying) a config body.
 pub struct ReloadOutcome {
@@ -53,7 +52,7 @@ pub struct ReloadOutcome {
     /// JSON body: `{"applied":…,"error":…,"strategies":[…]}`.
     pub body: String,
     /// On success, the vetted table and its compiled programs.
-    pub table: Option<(RolloutTable, Vec<Arc<Program>>)>,
+    pub table: Option<LiveRollout>,
 }
 
 /// Vet a config body without touching any live state: parse it, then
@@ -146,23 +145,23 @@ pub fn vet_table(
             applied: true,
             status: 200,
             body: render_reload_json(true, &entries, None),
-            table: Some((table.clone(), programs)),
+            table: Some(LiveRollout {
+                table: Arc::new(table.clone()),
+                programs,
+            }),
         },
     }
 }
 
-/// Vet a config body and, if it passes every gate, swap it live:
-/// queue the verified programs for the data thread, then publish the
-/// new rollout table for *new* flows. Existing flows keep the program
-/// they classified to — rollouts never rewrite a flow mid-stream.
+/// Vet a config body and, if it passes every gate, swap it live: the
+/// table and its verified programs replace the live rollout for *new*
+/// flows. Existing flows keep the program they classified to —
+/// rollouts never rewrite a flow mid-stream.
 pub fn apply_config(shared: &SvcShared, text: &str) -> ReloadOutcome {
     let mut outcome = vet_config(text, &shared.geo, shared.protocol);
     match outcome.table.take() {
-        Some((table, programs)) => {
-            // Programs first, table second: a data thread that sees the
-            // new table has its programs queued already.
-            unpoisoned(shared.reloaded.lock()).extend(programs);
-            *unpoisoned(shared.rollout.write()) = Arc::new(table);
+        Some(live) => {
+            *unpoisoned(shared.rollout.write()) = Arc::new(live);
             shared
                 .reloads
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

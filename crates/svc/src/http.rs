@@ -185,9 +185,7 @@ fn handle(stream: &mut TcpStream, shared: &SvcShared) {
     };
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/ready") => {
-            let draining =
-                shared.draining.load(Ordering::Relaxed) || shared.shutdown.load(Ordering::Relaxed);
-            if draining {
+            if shared.draining.load(Ordering::Relaxed) {
                 respond(
                     stream,
                     503,

@@ -26,13 +26,17 @@
 //! Strategy selection is a [`harness::deploy::RolloutTable`]: longest-
 //! prefix match on the client address, then a deterministic percentage
 //! split (`ab_bucket`) across that prefix's arms — true A/B rollout,
-//! swappable at runtime via `POST /config` without dropping a flow.
+//! swappable at runtime via `POST /config` without dropping a flow: the
+//! table and its verified programs cross to the data thread as one
+//! [`LiveRollout`], taken up at the next pump.
 //!
 //! Graceful shutdown: `std` cannot observe SIGTERM without a libc
 //! binding (which the no-new-dependencies rule forbids), so `POST
 //! /shutdown` is the SIGTERM stand-in — same semantics an init system
 //! would get: stop admitting work, drain in-flight frames, publish a
-//! final metrics snapshot, join every thread, exit 0.
+//! final metrics snapshot, join every thread, exit 0. It sets
+//! [`SvcShared::draining`]; the data thread's one loop then waits
+//! briefly between pumps and ends once the sockets stay quiet.
 
 pub mod bridge;
 pub mod control;
@@ -54,11 +58,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Take a lock guard even if a previous holder panicked. Every writer
-/// of [`SvcShared`]'s locks replaces the whole value in one assignment
-/// or moves whole programs in or out of the reload queue, so a
-/// poisoned lock still holds a complete value.
+/// of [`SvcShared`]'s locks replaces the whole value in one
+/// assignment, so a poisoned lock still holds a complete value.
 pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A vetted rollout table together with the verified programs of its
+/// arms: what [`vet_table`] builds and an accepted reload hands the
+/// data thread as one value.
+pub struct LiveRollout {
+    /// The table new flows classify against.
+    pub table: Arc<RolloutTable>,
+    /// The arms' programs, compiled and proved on the control thread.
+    pub programs: Vec<Arc<Program>>,
 }
 
 /// State shared between the data thread, the control plane, and the
@@ -66,21 +79,15 @@ pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
 pub struct SvcShared {
     /// Process start, for `uptime_ms`.
     pub started: Instant,
-    /// Set (by `POST /shutdown` or [`Service::shutdown`]) to begin a
-    /// graceful drain.
-    pub shutdown: AtomicBool,
-    /// The data thread is draining; `/ready` turns false.
+    /// Set by [`SvcShared::begin_shutdown`]: the data thread drains
+    /// and exits, and `/ready` turns false.
     pub draining: AtomicBool,
     /// Stops the control listener (set by [`Service::join`] after the
     /// data thread exits, so `/status` keeps answering during drain).
     pub control_stop: AtomicBool,
-    /// The live rollout table; swapped whole by an accepted reload.
-    /// The data thread reads it once per pump.
-    pub rollout: RwLock<Arc<RolloutTable>>,
-    /// Verified programs of accepted reloads, queued for the data
-    /// thread, which installs them in its plane's program cache
-    /// (counter-neutrally) at the top of its next pump.
-    pub reloaded: Mutex<Vec<Arc<Program>>>,
+    /// The live rollout, replaced whole by an accepted reload. The
+    /// data thread reads it once per pump.
+    pub rollout: RwLock<Arc<LiveRollout>>,
     /// Latest published metrics snapshot (what `/metrics` serves).
     pub snapshot: Mutex<MetricsReport>,
     /// Latest bridge counters (what `/status` serves).
@@ -109,15 +116,13 @@ impl SvcShared {
     /// thread so an idle service reacts immediately instead of at the
     /// end of its idle-wait timeout.
     pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.draining.store(true, Ordering::Relaxed);
         self.data_waker.wake();
     }
-}
 
-impl SvcShared {
     /// Rule count of the live rollout table.
     pub fn rollout_rules(&self) -> usize {
-        unpoisoned(self.rollout.read()).len()
+        unpoisoned(self.rollout.read()).table.len()
     }
 }
 
@@ -180,11 +185,12 @@ impl Core {
         let table = Arc::new(cfg.rollout);
         let shared = Arc::new(SvcShared {
             started: Instant::now(),
-            shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             control_stop: AtomicBool::new(false),
-            rollout: RwLock::new(Arc::clone(&table)),
-            reloaded: Mutex::new(Vec::new()),
+            rollout: RwLock::new(Arc::new(LiveRollout {
+                table: Arc::clone(&table),
+                programs: Vec::new(),
+            })),
             snapshot: Mutex::new(MetricsReport::default()),
             bridge_stats: Mutex::new(BridgeStats::default()),
             reloads: AtomicU64::new(0),
@@ -209,16 +215,19 @@ impl Core {
     /// plane; publishes a fresh snapshot when anything was processed.
     /// Returns the packet count.
     ///
-    /// A reload takes effect here, at a pump boundary. The table is
-    /// read *before* the queued programs are drained: `apply_config`
-    /// queues programs before it swaps the table, so whatever table
-    /// this pump sees has its programs installed.
+    /// A reload takes effect here, at a pump boundary: when the live
+    /// rollout's table is not the one the classifier holds, its
+    /// programs go into the plane's cache (counter-neutrally) and new
+    /// flows classify against it.
     pub fn pump<I: PacketIo>(&mut self, io: &mut I) -> u64 {
-        let table = Arc::clone(&*unpoisoned(self.shared.rollout.read()));
-        for program in unpoisoned(self.shared.reloaded.lock()).drain(..) {
-            self.dp.programs().insert(program);
+        let live = unpoisoned(self.shared.rollout.read());
+        if !Arc::ptr_eq(&live.table, &self.dp.classifier_mut().table) {
+            for program in &live.programs {
+                self.dp.programs().insert(Arc::clone(program));
+            }
+            self.dp.classifier_mut().table = Arc::clone(&live.table);
         }
-        self.dp.classifier_mut().table = table;
+        drop(live);
         let n = self.dp.pump(io, self.server_addr);
         if n > 0 {
             self.publish();
@@ -253,8 +262,8 @@ impl Core {
     }
 }
 
-/// How long the drain loop waits for the sockets to go quiet before
-/// declaring the flows flushed.
+/// How long a draining data thread waits for the sockets to go quiet
+/// before declaring the flows flushed.
 const DRAIN_QUIET: Duration = Duration::from_millis(200);
 
 /// Socket + control-plane configuration for [`Service::start`].
@@ -332,12 +341,15 @@ impl Service {
 }
 
 /// The data thread: pump the plane → publish, then one wait per
-/// iteration (blocked in `epoll_wait` until traffic or a waker kick,
-/// bounded by the publish cadence; it returns at once when a socket is
-/// already ready), and a quiet-period drain on shutdown.
+/// iteration. Serving, the wait blocks in `epoll_wait` until traffic
+/// or a waker kick, bounded by the publish cadence (it returns at once
+/// when a socket is already ready). Draining, flows already admitted
+/// get their in-flight frames processed: the wait is short, and the
+/// loop ends once the sockets stay quiet for [`DRAIN_QUIET`].
 fn data_loop(mut core: Core, mut bridge: Bridge) -> MetricsReport {
     let shared = core.shared.clone();
     let mut last_publish = Instant::now();
+    let mut quiet_since = Instant::now();
     loop {
         let n = core.pump(&mut bridge);
         if n > 0 || last_publish.elapsed() > Duration::from_millis(250) {
@@ -347,24 +359,13 @@ fn data_loop(mut core: Core, mut bridge: Bridge) -> MetricsReport {
             *unpoisoned(shared.bridge_stats.lock()) = bridge.stats;
             last_publish = Instant::now();
         }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        bridge.wait(250);
-    }
-    // Drain: flows already admitted get their in-flight frames
-    // processed; we stop once the sockets stay quiet for DRAIN_QUIET.
-    shared.draining.store(true, Ordering::Relaxed);
-    let mut quiet_since = Instant::now();
-    loop {
-        bridge.poll();
-        if core.pump(&mut bridge) > 0 {
+        let draining = shared.draining.load(Ordering::Relaxed);
+        if n > 0 || !draining {
             quiet_since = Instant::now();
-        }
-        if quiet_since.elapsed() >= DRAIN_QUIET {
+        } else if quiet_since.elapsed() >= DRAIN_QUIET {
             break;
         }
-        bridge.wait(2);
+        bridge.wait(if draining { 2 } else { 250 });
     }
     // Flush the final snapshot — the metrics an operator scrapes after
     // shutdown are complete.

@@ -196,6 +196,43 @@ proptest! {
     }
 }
 
+/// Two accepted reloads that land between two pumps: the next new
+/// flow gets the second table's program from the cache, and the
+/// first table, which no pump saw, never reaches the plane.
+#[test]
+fn the_later_of_two_reloads_between_pumps_goes_live() {
+    const WINDOW_TWO: &str = "[TCP:flags:SA]-tamper{TCP:window:replace:2}-| \\/";
+    let mut core = Core::new(core_cfg());
+    core.pump(&mut VecIo::new(open_flow([10, 7, 0, 3], 40_001)));
+    let first = format!("10.7.0.0/16 100 {WINDOW_CAP}");
+    let second = format!("10.7.0.0/16 100 {WINDOW_TWO}");
+    for config in [&first, &second] {
+        let outcome = apply_config(&core.shared, config);
+        assert!(outcome.applied, "{}", outcome.body);
+    }
+
+    let mut ref_cfg = core_cfg();
+    ref_cfg.rollout = RolloutTable::parse(&second).unwrap();
+    let mut reference = Core::new(ref_cfg);
+    let mut io_new = VecIo::new(open_flow([10, 7, 0, 4], 40_002));
+    let mut io_ref = VecIo::new(open_flow([10, 7, 0, 4], 40_002));
+    let before = core.offline_report();
+    core.pump(&mut io_new);
+    reference.pump(&mut io_ref);
+    assert_eq!(emitted_bytes(&io_new), emitted_bytes(&io_ref));
+
+    let after = core.offline_report();
+    assert_eq!(after.cache_hits, before.cache_hits + 1);
+    assert_eq!(after.cache_misses, before.cache_misses);
+    let key = |dsl: &str| {
+        Program::compile(&geneva::parse_strategy(dsl).unwrap())
+            .unwrap()
+            .key
+    };
+    assert!(after.strategies.contains_key(&key(WINDOW_TWO)));
+    assert!(!after.strategies.contains_key(&key(WINDOW_CAP)));
+}
+
 /// The censor-model gate: shipping a provably inert strategy to the
 /// prefix it was aimed at is refused (deterministic censors only — the
 /// GFW's stochastic model never yields an inert proof).

@@ -100,6 +100,22 @@ fn serve_refuses_a_control_address_off_loopback() {
     );
 }
 
+/// The bridge sends from an IPv4 socket, so an IPv6 `--upstream` is
+/// refused at bind instead of turning every upstream frame unroutable.
+#[test]
+fn serve_refuses_an_ipv6_upstream_before_serving() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cay"))
+        .args(["serve", "--udp", "127.0.0.1:0", "--control", "127.0.0.1:0"])
+        .args(["--upstream", "[::1]:7072"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bind failed"), "{stderr}");
+    assert!(!stderr.contains("serving:"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// The table `cay serve` starts with passes the reload gates: an arm a
 /// `POST /config` would refuse with 422 stops the service before it
 /// binds, with the same body on stdout.
