@@ -11,8 +11,8 @@
 //!   an intrusive doubly-linked list in touch order: every touch moves
 //!   its slot to the tail, and capacity eviction removes the head, the
 //!   least-recent live flow. Touches are totally ordered, so the victim
-//!   is unambiguous and found in O(1), with no scan of the index map,
-//!   whose iteration order is never observable.
+//!   is unambiguous and found in O(1), with no scan of the index,
+//!   whose bucket order is never observable.
 //! * **Exact idle expiry** — a packet arriving after the timeout finds
 //!   its stale entry expired and re-classifies, regardless of when the
 //!   periodic sweep last ran. The sweep only reclaims memory for flows
@@ -22,49 +22,65 @@
 //!   derived from the key), so an evicted flow that returns rebuilds
 //!   the exact state it lost.
 //!
-//! A live flow costs one 48-byte slot plus one 16-byte index bucket
-//! (82 bytes a flow in a full default-size table, with the index's
-//! spare buckets). Freed slots are reused before the slab grows, so
-//! steady traffic never enters the allocator.
+//! ## Memory
+//!
+//! Each key is stored once, in its slab slot. The index is an
+//! open-addressed array of 4-byte slot numbers (0 = empty, else slot +
+//! 1), probed linearly at load ≤ ½ over a power-of-two length; a probe
+//! compares the key held in the slot it names, and a removal shifts the
+//! rest of its run back instead of leaving a tombstone. A flow's home
+//! bucket is the top bits of its FNV-1a hash times an odd multiplier
+//! drawn once per process, so keys a peer crafts to agree in the hash
+//! bits some table length would use still spread; only keys whose whole
+//! 64-bit hashes collide share a run.
+//!
+//! Each table is sized once, when traffic proves it: below `capacity /
+//! 8` live flows the slab grows by pushing and the index doubles from
+//! 16 buckets; the first time live flows reach `capacity / 8`, the
+//! slab is reserved to exactly `capacity` slots and the index grows
+//! straight to its final length, the smallest power of two ≥ 2 ×
+//! `capacity`. A full table never resizes again and leaves no trail of
+//! doubled-and-freed buffers behind it, and a table that never sees that
+//! much traffic never pays for it. A live flow in a full default-size
+//! table costs one 48-byte slot plus two 4-byte buckets: 56 bytes.
+//! Freed slots are reused before the slab grows, so steady traffic
+//! never enters the allocator.
 //!
 //! One table serves one thread: the [`crate::Dplane`] that owns it.
 
 use crate::metrics::ShardMetrics;
 use crate::program::Program;
 use packet::FlowKey;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::{Arc, OnceLock};
 
-/// FNV-1a: the flow index's hasher and the input to per-flow seeds.
-/// The default SipHash costs more than the rest of the steady-state
-/// lookup combined. Being unkeyed, it lets a peer that picks its
-/// addresses and ports craft colliding flow keys; measuring such a
-/// flood is an open item in ROADMAP.md.
-#[derive(Clone)]
-pub(crate) struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
+/// FNV-1a over the canonical flow key's bytes: the input to per-flow
+/// seeds and to the index's bucket placement. The default SipHash costs
+/// more than the rest of the steady-state lookup combined. It is
+/// unkeyed, so seeds are a pure function of the key; the index keys its
+/// placement separately (see [`FlowTable::home`]).
+pub(crate) fn key_hash(key: &FlowKey) -> u64 {
+    let (a, b) = (key.a, key.b);
+    let [a0, a1] = a.1.to_be_bytes();
+    let [b0, b1] = b.1.to_be_bytes();
+    let bytes = [
+        a.0[0], a.0[1], a.0[2], a.0[3], a0, a1, b.0[0], b.0[1], b.0[2], b.0[3], b0, b1,
+    ];
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
+/// The index's placement key: an odd multiplier drawn once per process
+/// from the standard library's random hasher seed.
+fn placement_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(0u64) | 1)
 }
 
-/// `HashMap` builder for [`FnvHasher`].
-type FnvBuild = BuildHasherDefault<FnvHasher>;
+/// The index's first length, before the table is sized once.
+const MIN_BUCKETS: usize = 16;
 
 /// [`FlowConfig::default`]'s capacity: the live flows one data thread
 /// keeps.
@@ -124,8 +140,14 @@ pub struct Touch {
 
 /// The flow table. See the module docs for the determinism contract.
 pub struct FlowTable {
-    /// Live flows: key → slot in `slots`.
-    index: HashMap<FlowKey, u32, FnvBuild>,
+    /// Live flows: open-addressed buckets, each 0 (empty) or a live
+    /// slot's number + 1; empty or a power of two long, at most half
+    /// full. See the module docs.
+    index: Vec<u32>,
+    /// Placement multiplier ([`placement_key`]).
+    mul: u64,
+    /// Live flow count.
+    live: usize,
     /// The slab; grows to at most `capacity` slots.
     slots: Vec<Slot>,
     /// Free-list head (chained through [`Slot::next`]), or [`NIL`].
@@ -145,7 +167,9 @@ impl FlowTable {
     /// first flow arrives.
     pub fn new(cfg: FlowConfig) -> FlowTable {
         FlowTable {
-            index: HashMap::default(),
+            index: Vec::new(),
+            mul: placement_key(),
+            live: 0,
             slots: Vec::new(),
             free: NIL,
             head: NIL,
@@ -161,12 +185,12 @@ impl FlowTable {
 
     /// Live flow count.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live
     }
 
     /// True when no flows are live.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.live == 0
     }
 
     /// Look up (creating if needed) the flow for `key` at time `now`.
@@ -183,7 +207,7 @@ impl FlowTable {
         // lookup and a relink. A stale entry expires here (exact idle
         // expiry for this key, independent of sweep timing) and falls
         // through to the creation path.
-        if let Some(&i) = self.index.get(&key) {
+        if let Some(i) = self.find(&key) {
             let slot = &mut self.slots[i as usize];
             if now.saturating_sub(slot.last_seen) <= self.cfg.idle_timeout {
                 slot.last_seen = now;
@@ -204,10 +228,11 @@ impl FlowTable {
             self.metrics.evicted_idle += 1;
         }
 
-        if self.index.len() >= self.cfg.capacity {
+        if self.live >= self.cfg.capacity {
             self.remove(self.head);
             self.metrics.evicted_lru += 1;
         }
+        self.make_room();
         let (program, seed) = classify();
         let touch = Touch {
             program: program.clone(),
@@ -236,7 +261,7 @@ impl FlowTable {
             i
         };
         self.link_tail(i);
-        self.index.insert(key, i);
+        self.insert(i);
         self.metrics.flows_created += 1;
         self.metrics.packets += 1;
         touch
@@ -290,11 +315,107 @@ impl FlowTable {
     /// program and push the slot onto the free list.
     fn remove(&mut self, i: u32) {
         self.unlink(i);
+        self.unindex(i);
         let slot = &mut self.slots[i as usize];
-        self.index.remove(&slot.key);
         slot.program = None;
         slot.next = self.free;
         self.free = i;
+    }
+
+    /// `key`'s home bucket in the (non-empty) index: the top bits of
+    /// its keyed hash.
+    fn home(&self, key: &FlowKey) -> usize {
+        let bits = self.index.len().trailing_zeros();
+        // The length is a power of two from 2 to 2^33, so the shift is
+        // in range and the result, below the length, fits.
+        #[allow(clippy::cast_possible_truncation)]
+        let home = (key_hash(key).wrapping_mul(self.mul) >> (64 - bits)) as usize;
+        home
+    }
+
+    /// The live slot holding `key`, if any.
+    fn find(&self, key: &FlowKey) -> Option<u32> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mask = self.index.len() - 1;
+        let mut b = self.home(key);
+        loop {
+            match self.index[b] {
+                0 => return None,
+                s if self.slots[s as usize - 1].key == *key => return Some(s - 1),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// Grow the slab's reservation and the index, if needed, so one
+    /// more live flow fits: sized once at `capacity / 8` live flows,
+    /// doubling below that (see the module docs).
+    fn make_room(&mut self) {
+        let cap = self.cfg.capacity;
+        let full = (2 * cap).next_power_of_two();
+        if self.live + 1 >= cap / 8 {
+            if self.slots.capacity() < cap {
+                self.slots.reserve_exact(cap - self.slots.len());
+            }
+            if self.index.len() < full {
+                self.rehash(full);
+            }
+        } else if 2 * (self.live + 1) > self.index.len() {
+            self.rehash((2 * self.index.len()).max(MIN_BUCKETS));
+        }
+    }
+
+    /// Rebuild the index at `len` buckets.
+    fn rehash(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.index, vec![0; len]);
+        for s in old.into_iter().filter(|&s| s != 0) {
+            self.place(s);
+        }
+    }
+
+    /// Index live slot `i`, which is not indexed yet.
+    fn insert(&mut self, i: u32) {
+        self.place(i + 1);
+        self.live += 1;
+    }
+
+    /// Put bucket value `s` (slot + 1) in the first empty bucket of its
+    /// key's run; the index has one, being at most half full.
+    fn place(&mut self, s: u32) {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(&self.slots[s as usize - 1].key);
+        while self.index[b] != 0 {
+            b = (b + 1) & mask;
+        }
+        self.index[b] = s;
+    }
+
+    /// Unindex live slot `i`: empty its bucket, then shift back each
+    /// later entry of the run whose home does not lie between the hole
+    /// and itself, so every entry stays reachable from its home with no
+    /// tombstone.
+    fn unindex(&mut self, i: u32) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(&self.slots[i as usize].key);
+        while self.index[hole] != i + 1 {
+            hole = (hole + 1) & mask;
+        }
+        let mut b = (hole + 1) & mask;
+        while self.index[b] != 0 {
+            let s = self.index[b];
+            let home = self.home(&self.slots[s as usize - 1].key);
+            // Distance from home to `b` ≥ distance from the hole to `b`:
+            // the hole lies on this entry's probe path.
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.index[hole] = s;
+                hole = b;
+            }
+            b = (b + 1) & mask;
+        }
+        self.index[hole] = 0;
+        self.live -= 1;
     }
 
     /// Periodic reclaim of flows that went idle and never returned.
@@ -327,10 +448,19 @@ impl FlowTable {
 mod tests {
     #![allow(clippy::unwrap_used)] // test code
     use super::*;
+    use std::collections::HashMap;
 
     fn key(n: u8) -> FlowKey {
         FlowKey {
             a: ([10, 0, 0, n], 1000),
+            b: ([93, 184, 216, 34], 80),
+        }
+    }
+
+    /// Flow `n` of a larger population than [`key`]'s.
+    fn wide_key(n: u32) -> FlowKey {
+        FlowKey {
+            a: (n.to_be_bytes(), 40_000),
             b: ([93, 184, 216, 34], 80),
         }
     }
@@ -350,7 +480,7 @@ mod tests {
         while i != NIL {
             let slot = &t.slots[i as usize];
             assert_eq!(slot.prev, prev, "back link of slot {i}");
-            assert_eq!(t.index.get(&slot.key), Some(&i), "index of slot {i}");
+            assert_eq!(t.find(&slot.key), Some(i), "index of slot {i}");
             order.push(slot.key);
             (prev, i) = (i, slot.next);
         }
@@ -529,5 +659,136 @@ mod tests {
             });
         }
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn slot_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    }
+
+    /// Each live entry's probe distance from its home bucket, and
+    /// whether its run wrapped past the end of the index to reach it.
+    fn probe_distances(t: &FlowTable) -> Vec<(usize, bool)> {
+        let mask = t.index.len() - 1;
+        let live = t.index.iter().enumerate().filter(|&(_, &s)| s != 0);
+        live.map(|(b, &s)| {
+            let home = t.home(&t.slots[s as usize - 1].key);
+            (b.wrapping_sub(home) & mask, b < home)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn index_matches_a_hashmap_model() {
+        // Random touches over small tables, whose short indexes make
+        // runs wrap past the end and removals shift entries back across
+        // the wrap. After every step, every key of the population —
+        // live or dead — must look up exactly as a HashMap of the
+        // reference model's live flows says.
+        let mut rng = 0x5eed_u64;
+        let (mut wrapped, mut evicted_lru, mut evicted_idle) = (0, 0, 0);
+        for capacity in 1..=64usize {
+            let timeout = 40;
+            let population = u8::try_from(2 * capacity + 3).unwrap();
+            let mut t = table(capacity, timeout);
+            let mut model = Model::default();
+            let mut now = 0u64;
+            for step in 0..300 {
+                rng = netsim::splitmix64(rng);
+                let n = u8::try_from(rng % u64::from(population)).unwrap();
+                now += (rng >> 32) % 9; // idle gaps on both sides of 40
+                model.touch(key(n), now, capacity, timeout);
+                t.touch(key(n), now, || (None, u64::from(n)));
+
+                let live: HashMap<FlowKey, u64> = model
+                    .live
+                    .iter()
+                    .map(|&(k, ..)| (k, u64::from(k.a.0[3])))
+                    .collect();
+                assert_eq!(t.len(), live.len(), "cap {capacity} step {step}");
+                for m in 0..population {
+                    let got = t.find(&key(m)).map(|i| {
+                        let slot = &t.slots[i as usize];
+                        assert_eq!(slot.key, key(m), "cap {capacity} step {step}");
+                        slot.seed
+                    });
+                    assert_eq!(
+                        got,
+                        live.get(&key(m)).copied(),
+                        "cap {capacity} step {step} key {m}"
+                    );
+                }
+                let dist = probe_distances(&t);
+                assert_eq!(dist.len(), t.len(), "one bucket per live flow");
+                assert!(2 * t.len() <= t.index.len(), "load ≤ ½");
+                wrapped += dist.iter().filter(|&&(_, w)| w).count();
+            }
+            evicted_lru += t.metrics().evicted_lru;
+            evicted_idle += t.metrics().evicted_idle;
+        }
+        assert!(wrapped > 0, "some runs must wrap past the end");
+        assert!(
+            evicted_lru > 0 && evicted_idle > 0,
+            "both removals must run"
+        );
+    }
+
+    #[test]
+    fn tables_are_sized_once_when_traffic_proves_it() {
+        let capacity = 1024;
+        let mut t = table(capacity, u64::MAX);
+        assert_eq!(
+            (t.slots.capacity(), t.index.capacity()),
+            (0, 0),
+            "new allocates nothing"
+        );
+        let mut n = 0;
+        while t.len() < capacity / 8 {
+            assert!(t.slots.capacity() < capacity, "slab reserved early at {n}");
+            assert!(
+                t.index.len() <= 2 * capacity / 8,
+                "index grown early at {n}"
+            );
+            t.touch(wide_key(n), 0, || (None, 0));
+            n += 1;
+        }
+        assert_eq!(t.slots.capacity(), capacity);
+        assert_eq!(t.index.len(), 2 * capacity);
+        let sized = (t.slots.as_ptr(), t.index.as_ptr(), t.index.len());
+        for m in n..n + u32::try_from(3 * capacity).unwrap() {
+            t.touch(wide_key(m), u64::from(m), || (None, 0));
+            assert_eq!(
+                (t.slots.as_ptr(), t.index.as_ptr(), t.index.len()),
+                sized,
+                "at {m}"
+            );
+        }
+        assert_eq!((t.len(), t.slots.capacity()), (capacity, capacity));
+    }
+
+    #[test]
+    fn keyed_placement_spreads_crafted_collisions() {
+        // A peer that knows FNV-1a picks keys whose hashes agree in the
+        // low bits a 1,024-bucket index uses (~300k hash evaluations).
+        // Placed by those bits they would form one run; keyed placement
+        // must keep every probe short.
+        const KEYS: usize = 300;
+        let mask = 1023;
+        let target = key_hash(&wide_key(0)) & mask;
+        let crafted: Vec<FlowKey> = (0..)
+            .map(wide_key)
+            .filter(|k| key_hash(k) & mask == target)
+            .take(KEYS)
+            .collect();
+        let mut t = table(4096, u64::MAX);
+        for (now, &k) in (0..).zip(&crafted) {
+            t.touch(k, now, || (None, 0));
+        }
+        assert_eq!((t.len(), t.index.len()), (KEYS, 1024));
+        let longest = probe_distances(&t).iter().map(|&(d, _)| d).max().unwrap();
+        assert!(
+            longest < 32,
+            "longest probe {longest} over {KEYS} crafted keys"
+        );
     }
 }

@@ -38,10 +38,9 @@ pub use program::{
     lower_ops, verify, CompiledPart, Matcher, Op, Program, ProgramCache, ProgramProof, VerifyError,
 };
 
-use flow::FnvHasher;
+use flow::key_hash;
 use geneva::Strategy;
 use packet::{FlowKey, Packet};
-use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Decides the strategy for a newly seen flow. Runs once per flow
@@ -253,17 +252,6 @@ impl<C: Classifier> geneva::Rewrite for Dplane<C> {
     fn inbound(&mut self, pkt: &Packet, now: u64, out: &mut Vec<Packet>) {
         self.process_inbound(pkt, now, out);
     }
-}
-
-/// [`FnvHasher`] over the canonical flow key's bytes: the input to
-/// per-flow seeds.
-pub(crate) fn key_hash(key: &FlowKey) -> u64 {
-    let mut h = FnvHasher::default();
-    h.write(&key.a.0);
-    h.write(&key.a.1.to_be_bytes());
-    h.write(&key.b.0);
-    h.write(&key.b.1.to_be_bytes());
-    h.finish()
 }
 
 /// Per-flow seed: splitmix64 over the base XOR [`key_hash`]. Pure in

@@ -191,8 +191,11 @@ enum Peer {
 /// Learned `inner source address → peer` routes in two generations of
 /// at most [`ROUTE_CAP`] addresses. Learning writes to `young`; a full
 /// `young` becomes `old` and the previous `old` is dropped (its
-/// allocation reused for the new `young`). Lookups try `young`, then
-/// `old`, so an address learned within the last `ROUTE_CAP` distinct
+/// allocation reused for the new `young`). At the first rollover there
+/// is no such allocation yet, so the new `young` is reserved to
+/// `ROUTE_CAP` at once instead of doubling its way there; from then on
+/// the two maps trade places and neither resizes. Lookups try `young`,
+/// then `old`, so an address learned within the last `ROUTE_CAP` distinct
 /// learnings always resolves, and the table never holds more than
 /// `2 × ROUTE_CAP` addresses. The maps keep the default keyed hasher:
 /// a peer picks every key, so an unkeyed hash would let it craft
@@ -209,6 +212,8 @@ impl Routes {
         if self.young.len() >= ROUTE_CAP && !self.young.contains_key(&addr) {
             std::mem::swap(&mut self.young, &mut self.old);
             self.young.clear();
+            // Allocates at the first rollover only.
+            self.young.reserve(ROUTE_CAP);
         }
         self.young.insert(addr, peer);
     }
@@ -861,6 +866,27 @@ mod tests {
         assert!(!routes.young.contains_key(&moved) && routes.old.contains_key(&moved));
         routes.learn(moved, tcp(2));
         assert_eq!(routes.get(&moved), Some(tcp(2)));
+    }
+
+    #[test]
+    fn routes_reserve_young_once_at_the_first_rollover() {
+        let addr = |i: usize| (0x0A00_0000 + u32::try_from(i).unwrap()).to_be_bytes();
+        let peer = Peer::Udp(SocketAddrV4::new([127, 0, 0, 1].into(), 9));
+        let mut routes = Routes::default();
+        for i in 0..=ROUTE_CAP {
+            routes.learn(addr(i), peer);
+        }
+        assert_eq!(routes.young.len(), 1, "rolled over once");
+        assert!(routes.young.capacity() >= ROUTE_CAP);
+        // Both generations hold the same reservation, so trading places
+        // leaves the pair of capacities as it is.
+        let caps = (routes.young.capacity(), routes.old.capacity());
+        assert_eq!(caps.0, caps.1);
+        for i in 0..3 * ROUTE_CAP {
+            routes.learn(addr(ROUTE_CAP + 1 + i), peer);
+            let now = (routes.young.capacity(), routes.old.capacity());
+            assert_eq!(now, caps, "a map resized at learning {i}");
+        }
     }
 
     #[test]
