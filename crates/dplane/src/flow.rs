@@ -24,27 +24,29 @@
 //!
 //! ## Memory
 //!
-//! Each key is stored once, in its slab slot. The index is an
-//! open-addressed array of 4-byte slot numbers (0 = empty, else slot +
-//! 1), probed linearly at load ≤ ½ over a power-of-two length; a probe
-//! compares the key held in the slot it names, and a removal shifts the
-//! rest of its run back instead of leaving a tombstone. A flow's home
-//! bucket is the top bits of its FNV-1a hash times an odd multiplier
-//! drawn once per process, so keys a peer crafts to agree in the hash
-//! bits some table length would use still spread; only keys whose whole
-//! 64-bit hashes collide share a run.
+//! Each key is stored once, in its slab slot. The index is an array of
+//! bucket heads over a power-of-two length, at most half loaded: each
+//! head is the first live slot whose key homes there, or [`NIL`], and
+//! each live slot's `chain` link names the next slot of its bucket. A
+//! lookup walks one chain comparing the keys in the slots; a removal
+//! unlinks its slot from the head or from its predecessor and touches
+//! no other entry. A flow's home bucket is the top bits of its FNV-1a
+//! hash times an odd multiplier drawn once per process, so keys a peer
+//! crafts to agree in the hash bits some table length would use still
+//! spread; only keys whose whole 64-bit hashes collide share a chain.
 //!
 //! Each table is sized once, when traffic proves it: below `capacity /
 //! 8` live flows the slab grows by pushing and the index doubles from
 //! 16 buckets; the first time live flows reach `capacity / 8`, the
 //! slab is reserved to exactly `capacity` slots and the index grows
 //! straight to its final length, the smallest power of two ≥ 2 ×
-//! `capacity`. A full table never resizes again and leaves no trail of
+//! `capacity`; a resize re-links every live slot by walking the LRU
+//! list. A full table never resizes again and leaves no trail of
 //! doubled-and-freed buffers behind it, and a table that never sees that
 //! much traffic never pays for it. A live flow in a full default-size
-//! table costs one 48-byte slot plus two 4-byte buckets: 56 bytes.
-//! Freed slots are reused before the slab grows, so steady traffic
-//! never enters the allocator.
+//! table costs one 48-byte slot (its chain link sits in what would be
+//! padding) plus two 4-byte buckets: 56 bytes. Freed slots are reused
+//! before the slab grows, so steady traffic never enters the allocator.
 //!
 //! One table serves one thread: the [`crate::Dplane`] that owns it.
 
@@ -109,8 +111,9 @@ impl Default for FlowConfig {
 const NIL: u32 = u32::MAX;
 
 /// One slab slot. Live, it holds a flow's state — the compiled program
-/// (or `None` = pass-through) and the corrupt seed — and its LRU links;
-/// free, `next` chains the free list and `program` is dropped.
+/// (or `None` = pass-through) and the corrupt seed — its LRU links and
+/// its bucket's chain link; free, `next` chains the free list and
+/// `program` is dropped.
 struct Slot {
     key: FlowKey,
     program: Option<Arc<Program>>,
@@ -121,6 +124,8 @@ struct Slot {
     /// Next-newer live slot (toward the tail), or [`NIL`]; on a free
     /// slot, the next free slot.
     next: u32,
+    /// Next live slot in the same index bucket, or [`NIL`].
+    chain: u32,
 }
 
 /// What a lookup returned: the flow's strategy state.
@@ -140,9 +145,9 @@ pub struct Touch {
 
 /// The flow table. See the module docs for the determinism contract.
 pub struct FlowTable {
-    /// Live flows: open-addressed buckets, each 0 (empty) or a live
-    /// slot's number + 1; empty or a power of two long, at most half
-    /// full. See the module docs.
+    /// Live flows: each bucket's first slot (chained through
+    /// [`Slot::chain`]), or [`NIL`]; empty or a power of two long, at
+    /// most half loaded. See the module docs.
     index: Vec<u32>,
     /// Placement multiplier ([`placement_key`]).
     mul: u64,
@@ -247,6 +252,7 @@ impl FlowTable {
             last_seen: now,
             prev: NIL,
             next: NIL,
+            chain: NIL,
         };
         let i = if self.free == NIL {
             // No free slot means every slot is live, and fewer than
@@ -262,6 +268,7 @@ impl FlowTable {
         };
         self.link_tail(i);
         self.insert(i);
+        self.live += 1;
         self.metrics.flows_created += 1;
         self.metrics.packets += 1;
         touch
@@ -316,6 +323,7 @@ impl FlowTable {
     fn remove(&mut self, i: u32) {
         self.unlink(i);
         self.unindex(i);
+        self.live -= 1;
         let slot = &mut self.slots[i as usize];
         slot.program = None;
         slot.next = self.free;
@@ -338,15 +346,15 @@ impl FlowTable {
         if self.index.is_empty() {
             return None;
         }
-        let mask = self.index.len() - 1;
-        let mut b = self.home(key);
-        loop {
-            match self.index[b] {
-                0 => return None,
-                s if self.slots[s as usize - 1].key == *key => return Some(s - 1),
-                _ => b = (b + 1) & mask,
+        let mut i = self.index[self.home(key)];
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            if slot.key == *key {
+                return Some(i);
             }
+            i = slot.chain;
         }
+        None
     }
 
     /// Grow the slab's reservation and the index, if needed, so one
@@ -367,55 +375,39 @@ impl FlowTable {
         }
     }
 
-    /// Rebuild the index at `len` buckets.
+    /// Rebuild the index at `len` buckets, re-linking every live slot
+    /// by walking the LRU list.
     fn rehash(&mut self, len: usize) {
-        let old = std::mem::replace(&mut self.index, vec![0; len]);
-        for s in old.into_iter().filter(|&s| s != 0) {
-            self.place(s);
+        self.index = vec![NIL; len];
+        let mut i = self.head;
+        while i != NIL {
+            self.insert(i);
+            i = self.slots[i as usize].next;
         }
     }
 
-    /// Index live slot `i`, which is not indexed yet.
+    /// Index live slot `i`, which is not indexed yet: push it onto its
+    /// key's bucket chain.
     fn insert(&mut self, i: u32) {
-        self.place(i + 1);
-        self.live += 1;
+        let b = self.home(&self.slots[i as usize].key);
+        self.slots[i as usize].chain = self.index[b];
+        self.index[b] = i;
     }
 
-    /// Put bucket value `s` (slot + 1) in the first empty bucket of its
-    /// key's run; the index has one, being at most half full.
-    fn place(&mut self, s: u32) {
-        let mask = self.index.len() - 1;
-        let mut b = self.home(&self.slots[s as usize - 1].key);
-        while self.index[b] != 0 {
-            b = (b + 1) & mask;
-        }
-        self.index[b] = s;
-    }
-
-    /// Unindex live slot `i`: empty its bucket, then shift back each
-    /// later entry of the run whose home does not lie between the hole
-    /// and itself, so every entry stays reachable from its home with no
-    /// tombstone.
+    /// Unindex live slot `i`: unlink it from its bucket's head or from
+    /// its predecessor in the chain.
     fn unindex(&mut self, i: u32) {
-        let mask = self.index.len() - 1;
-        let mut hole = self.home(&self.slots[i as usize].key);
-        while self.index[hole] != i + 1 {
-            hole = (hole + 1) & mask;
-        }
-        let mut b = (hole + 1) & mask;
-        while self.index[b] != 0 {
-            let s = self.index[b];
-            let home = self.home(&self.slots[s as usize - 1].key);
-            // Distance from home to `b` ≥ distance from the hole to `b`:
-            // the hole lies on this entry's probe path.
-            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
-                self.index[hole] = s;
-                hole = b;
+        let b = self.home(&self.slots[i as usize].key);
+        let after = self.slots[i as usize].chain;
+        if self.index[b] == i {
+            self.index[b] = after;
+        } else {
+            let mut p = self.index[b];
+            while self.slots[p as usize].chain != i {
+                p = self.slots[p as usize].chain;
             }
-            b = (b + 1) & mask;
+            self.slots[p as usize].chain = after;
         }
-        self.index[hole] = 0;
-        self.live -= 1;
     }
 
     /// Periodic reclaim of flows that went idle and never returned.
@@ -666,27 +658,31 @@ mod tests {
         assert_eq!(std::mem::size_of::<Slot>(), 48);
     }
 
-    /// Each live entry's probe distance from its home bucket, and
-    /// whether its run wrapped past the end of the index to reach it.
-    fn probe_distances(t: &FlowTable) -> Vec<(usize, bool)> {
-        let mask = t.index.len() - 1;
-        let live = t.index.iter().enumerate().filter(|&(_, &s)| s != 0);
-        live.map(|(b, &s)| {
-            let home = t.home(&t.slots[s as usize - 1].key);
-            (b.wrapping_sub(home) & mask, b < home)
-        })
-        .collect()
+    /// Each bucket's chain length, checking that every chained slot
+    /// homes to its bucket.
+    fn chain_lengths(t: &FlowTable) -> Vec<usize> {
+        let chains = t.index.iter().enumerate().map(|(b, &head)| {
+            let (mut len, mut i) = (0, head);
+            while i != NIL {
+                let slot = &t.slots[i as usize];
+                assert_eq!(t.home(&slot.key), b, "slot {i} chained in bucket {b}");
+                (len, i) = (len + 1, slot.chain);
+            }
+            len
+        });
+        chains.collect()
     }
 
     #[test]
     fn index_matches_a_hashmap_model() {
         // Random touches over small tables, whose short indexes make
-        // runs wrap past the end and removals shift entries back across
-        // the wrap. After every step, every key of the population —
-        // live or dead — must look up exactly as a HashMap of the
-        // reference model's live flows says.
+        // flows share chains, so removals unlink from the middle and
+        // the end of a chain as well as from its head. After every
+        // step, every key of the population — live or dead — must look
+        // up exactly as a HashMap of the reference model's live flows
+        // says.
         let mut rng = 0x5eed_u64;
-        let (mut wrapped, mut evicted_lru, mut evicted_idle) = (0, 0, 0);
+        let (mut shared, mut evicted_lru, mut evicted_idle) = (0, 0, 0);
         for capacity in 1..=64usize {
             let timeout = 40;
             let population = u8::try_from(2 * capacity + 3).unwrap();
@@ -718,15 +714,16 @@ mod tests {
                         "cap {capacity} step {step} key {m}"
                     );
                 }
-                let dist = probe_distances(&t);
-                assert_eq!(dist.len(), t.len(), "one bucket per live flow");
+                let chains = chain_lengths(&t);
+                let chained: usize = chains.iter().sum();
+                assert_eq!(chained, t.len(), "every live flow chained once");
                 assert!(2 * t.len() <= t.index.len(), "load ≤ ½");
-                wrapped += dist.iter().filter(|&&(_, w)| w).count();
+                shared += chains.iter().filter(|&&len| len >= 2).count();
             }
             evicted_lru += t.metrics().evicted_lru;
             evicted_idle += t.metrics().evicted_idle;
         }
-        assert!(wrapped > 0, "some runs must wrap past the end");
+        assert!(shared > 0, "some chains must hold two or more flows");
         assert!(
             evicted_lru > 0 && evicted_idle > 0,
             "both removals must run"
@@ -769,9 +766,9 @@ mod tests {
     #[test]
     fn keyed_placement_spreads_crafted_collisions() {
         // A peer that knows FNV-1a picks keys whose hashes agree in the
-        // low bits a 1,024-bucket index uses (~300k hash evaluations).
-        // Placed by those bits they would form one run; keyed placement
-        // must keep every probe short.
+        // low bits the index uses at 300 flows, 1,024 buckets (~300k
+        // hash evaluations). Placed by those bits they would form one
+        // chain; keyed placement must keep every chain short.
         const KEYS: usize = 300;
         let mask = 1023;
         let target = key_hash(&wide_key(0)) & mask;
@@ -785,10 +782,10 @@ mod tests {
             t.touch(k, now, || (None, 0));
         }
         assert_eq!((t.len(), t.index.len()), (KEYS, 1024));
-        let longest = probe_distances(&t).iter().map(|&(d, _)| d).max().unwrap();
+        let longest = chain_lengths(&t).into_iter().max().unwrap();
         assert!(
-            longest < 32,
-            "longest probe {longest} over {KEYS} crafted keys"
+            longest < 8,
+            "longest chain {longest} over {KEYS} crafted keys"
         );
     }
 }

@@ -115,6 +115,8 @@ pub struct Dplane<C: Classifier> {
     programs: ProgramCache,
     flows: FlowTable,
     scratch: Vec<Packet>,
+    /// [`Dplane::pump`]'s emission buffer, kept across calls.
+    out: Vec<Packet>,
     seed_mode: SeedMode,
 }
 
@@ -126,6 +128,7 @@ impl<C: Classifier> Dplane<C> {
             programs: ProgramCache::new(),
             flows: FlowTable::new(cfg.flow),
             scratch: Vec::new(),
+            out: Vec::new(),
             seed_mode: cfg.seed,
         }
     }
@@ -202,10 +205,9 @@ impl<C: Classifier> Dplane<C> {
     /// everything else is inbound. Returns the number of packets
     /// processed.
     pub fn pump<I: PacketIo>(&mut self, io: &mut I, server_addr: [u8; 4]) -> u64 {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.out);
         let mut processed = 0;
         while let Some((now, pkt)) = io.recv() {
-            out.clear();
             if pkt.ip.src == server_addr {
                 self.process_outbound(&pkt, now, &mut out);
             } else {
@@ -216,6 +218,7 @@ impl<C: Classifier> Dplane<C> {
             }
             processed += 1;
         }
+        self.out = out;
         io.flush();
         processed
     }

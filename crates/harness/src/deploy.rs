@@ -240,16 +240,6 @@ pub fn top_pick(country: Country, protocol: AppProtocol) -> Option<NamedStrategy
     Some(library::client_compat_fix(named.id).unwrap_or(named))
 }
 
-/// End-to-end pick: from a client SYN's source address to the strategy
-/// a deployment should apply.
-pub fn pick_for_client(
-    client_addr: [u8; 4],
-    protocol: AppProtocol,
-    table: &GeoTable,
-) -> Option<NamedStrategy> {
-    top_pick(table.locate(client_addr)?, protocol)
-}
-
 // ---------------------------------------------------------------------------
 // Text-file tables and per-prefix A/B rollout
 // ---------------------------------------------------------------------------
@@ -535,7 +525,8 @@ impl RolloutTable {
 
     /// The degenerate rollout a plain geo table induces: every located
     /// client (100%) gets the top-ranked client-OS-safe strategy for
-    /// its country, exactly like [`pick_for_client`].
+    /// its country, exactly like [`top_pick`] of the client's located
+    /// country.
     pub fn from_geo(entries: &[GeoEntry], protocol: AppProtocol) -> RolloutTable {
         RolloutTable::from_rules(entries.iter().map(|e| {
             RolloutRule {
@@ -717,11 +708,12 @@ mod tests {
         let table = demo_geo_table();
         // China FTP's top pick is Strategy 5 — which breaks Windows —
         // so the deployment helper returns the checksum-fixed variant.
-        let pick = pick_for_client([10, 7, 3, 3], AppProtocol::Ftp, &table).unwrap();
+        let country = table.locate([10, 7, 3, 3]).unwrap();
+        let pick = top_pick(country, AppProtocol::Ftp).unwrap();
         assert_eq!(pick.id, 5);
         assert!(pick.name.contains("chksum-fixed"), "{}", pick.name);
         // Unknown client: deploy nothing.
-        assert!(pick_for_client([9, 9, 9, 9], AppProtocol::Http, &table).is_none());
+        assert!(table.locate([9, 9, 9, 9]).is_none());
     }
 
     #[test]
@@ -818,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn geo_derived_rollout_matches_pick_for_client() {
+    fn geo_derived_rollout_matches_top_pick() {
         let entries = demo_geo_entries();
         let rollout = RolloutTable::from_geo(&entries, AppProtocol::Http);
         let table = GeoTable::new(entries);
@@ -830,7 +822,9 @@ mod tests {
             [9, 9, 9, 9],
         ] {
             let via_rollout = rollout.pick(addr);
-            let via_pick = pick_for_client(addr, AppProtocol::Http, &table);
+            let via_pick = table
+                .locate(addr)
+                .and_then(|country| top_pick(country, AppProtocol::Http));
             assert_eq!(
                 via_rollout.map(|s| s.to_string()),
                 via_pick.map(|n| n.strategy().to_string()),

@@ -62,17 +62,10 @@ pub fn lint(source: &str) -> Result<Vec<Diagnostic>, ParseError> {
     Ok(lint_spanned(&strategy, &spans))
 }
 
-/// Lint an already-parsed strategy. Spans are recovered by re-parsing
-/// the strategy's canonical `Display` text (Display/parse round-trips
-/// exactly), so they index into `strategy.to_string()`.
+/// Lint an already-parsed strategy. There is no source text to point
+/// into, so every finding's span is empty; use [`lint`] for spans.
 pub fn lint_strategy(strategy: &Strategy) -> Vec<Diagnostic> {
-    let text = strategy.to_string();
-    match parse_strategy_spanned(&text) {
-        Ok((reparsed, spans)) => lint_spanned(&reparsed, &spans),
-        // Display text always re-parses; if it somehow does not, lint
-        // with empty spans rather than losing the findings.
-        Err(_) => lint_spanned(strategy, &StrategySpans::default()),
-    }
+    lint_spanned(strategy, &StrategySpans::default())
 }
 
 /// The real worker: strategy + node spans → findings.

@@ -418,7 +418,7 @@ fn rule_help(id: &str) -> (&'static str, &'static str) {
             LINTS_URI,
         ),
         "client-side-action-in-server-strategy" => (
-            "The outbound tree triggers on a client-sent packet the server never forwards.",
+            "An outbound part triggers on a bare SYN, which a server never emits, so it never fires.",
             LINTS_URI,
         ),
         "ttl-unreachable" => (
@@ -426,7 +426,7 @@ fn rule_help(id: &str) -> (&'static str, &'static str) {
             LINTS_URI,
         ),
         "degenerate-fragment" => (
-            "The fragment action cannot split the packet (offset 0 or past the payload).",
+            "The fragment targets UDP, DNS or FTP, which are never split: only its first subtree runs.",
             LINTS_URI,
         ),
         "checksum-futile" => (
@@ -458,7 +458,7 @@ fn rule_help(id: &str) -> (&'static str, &'static str) {
             LINTS_URI,
         ),
         "checksum-left-broken-reaches-client" => (
-            "A data-bearing packet reaches the client with its checksum still broken and is dropped there.",
+            "Every server data segment is destroyed: each copy is checksum-broken or TTL-dead before the client, or none is sent.",
             LINTS_URI,
         ),
         "synack-payload-compat" => (

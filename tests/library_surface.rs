@@ -39,7 +39,8 @@ fn the_readme_walkthrough_works_end_to_end() {
 
     // 6. Deployment selection from a client address.
     let table = deploy::demo_geo_table();
-    let pick = deploy::pick_for_client([10, 7, 1, 2], AppProtocol::Http, &table).unwrap();
+    let country = table.locate([10, 7, 1, 2]).unwrap();
+    let pick = deploy::top_pick(country, AppProtocol::Http).unwrap();
     assert!(pick.id >= 1);
 
     // 7. And the facade crate re-exports it all.
